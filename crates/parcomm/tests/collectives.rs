@@ -266,3 +266,207 @@ fn split_phase_send_accounting() {
     });
     assert_eq!(out[0], (1, 6, 0, 4), "one message, split elements");
 }
+
+// ---- Bitwise pins of the recursive-doubling collectives -------------------
+//
+// Every rank enters each collective at a different virtual time (rank r
+// first charges r·k flops), so the pins cover the stall accounting, not
+// only the message counts: with equal entry clocks every wait would be
+// zero and a wrong arrival stamp could hide. Each pin is an FNV-1a digest
+// over, per rank in rank order: the result bits, the clock bits after the
+// collective, and the `CommStats` counters (messages, elements, send /
+// wait / hidden virtual time per phase, all-reduce calls and rounds).
+// The digests were captured from the message-passing implementation of
+// the schedule; any implementation of it must reproduce them exactly.
+
+/// FNV-1a over 64-bit words.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn f64s(&mut self, xs: &[f64]) {
+        self.word(xs.len() as u64);
+        for x in xs {
+            self.word(x.to_bits());
+        }
+    }
+}
+
+/// What one rank reports after a pinned collective.
+struct PinOut {
+    result: Vec<f64>,
+    clock: f64,
+    stats: parcomm::CommStats,
+}
+
+fn digest(outs: &[PinOut]) -> u64 {
+    let mut d = Digest::new();
+    for o in outs {
+        d.f64s(&o.result);
+        d.word(o.clock.to_bits());
+        for p in CommPhase::ALL {
+            d.word(o.stats.msgs(p));
+            d.word(o.stats.elems(p));
+            d.word(o.stats.send_vtime(p).to_bits());
+            d.word(o.stats.wait_vtime(p).to_bits());
+            d.word(o.stats.hidden_vtime(p).to_bits());
+        }
+        d.word(o.stats.allreduces());
+        d.word(o.stats.allreduce_rounds());
+    }
+    d.0
+}
+
+/// Rank `r`'s order-sensitive contribution (FP sums of these reassociate
+/// visibly).
+fn pin_input(r: usize) -> Vec<f64> {
+    let x = 1.0 / (r as f64 + 0.7) * 1e3 + r as f64 * 1e-9;
+    vec![x, -0.3 * x + 1e-7, (r as f64).sin()]
+}
+
+/// Non-contiguous member set for the group pins: every rank except those
+/// ≡ 1 (mod 3) — the whole world on N = 2, so the group is never trivial.
+fn pin_members(n: usize) -> Vec<usize> {
+    (0..n).filter(|r| r % 3 != 1 || n == 2).collect()
+}
+
+fn run_pin(n: usize, case: &str) -> u64 {
+    let case = case.to_string();
+    let outs = Cluster::run(ClusterConfig::new(n), move |ctx| {
+        let r = ctx.rank();
+        ctx.clock_mut().advance_flops(r * 37_000);
+        let result = match case.as_str() {
+            "allreduce_sum" => ctx.allreduce_vec(ReduceOp::Sum, pin_input(r)),
+            "allreduce_max" => ctx.allreduce_vec(ReduceOp::Max, pin_input(r)),
+            "barrier" => {
+                ctx.barrier();
+                Vec::new()
+            }
+            "iallreduce" => {
+                let req = ctx.iallreduce_vec(ReduceOp::Sum, pin_input(r));
+                // Compute before wait: low ranks hide more of the flight.
+                ctx.clock_mut().advance_flops((n - r) * 23_000);
+                req.wait(ctx)
+            }
+            "group_allreduce" | "group_iallreduce" | "group_barrier" => {
+                let members = pin_members(n);
+                if !members.contains(&r) {
+                    return PinOut {
+                        result: Vec::new(),
+                        clock: ctx.vtime(),
+                        stats: ctx.stats().clone(),
+                    };
+                }
+                let mut g = ctx.group(&members);
+                match case.as_str() {
+                    "group_allreduce" => g.allreduce_vec(ctx, ReduceOp::Sum, pin_input(r)),
+                    "group_iallreduce" => {
+                        let req = g.iallreduce_vec_phase(
+                            ctx,
+                            ReduceOp::Max,
+                            pin_input(r),
+                            CommPhase::Reduction,
+                        );
+                        ctx.clock_mut().advance_flops((n - r) * 23_000);
+                        req.wait(ctx)
+                    }
+                    _ => {
+                        g.barrier(ctx);
+                        Vec::new()
+                    }
+                }
+            }
+            other => panic!("unknown pin case {other}"),
+        };
+        PinOut {
+            result,
+            clock: ctx.vtime(),
+            stats: ctx.stats().clone(),
+        }
+    });
+    digest(&outs)
+}
+
+/// `(case, N, digest)`.
+const PINS: &[(&str, usize, u64)] = &[
+    ("allreduce_sum", 2, 0x9c093b147e3519a1),
+    ("allreduce_sum", 3, 0x86d42433517353e0),
+    ("allreduce_sum", 5, 0x5d2562a32ce82a2f),
+    ("allreduce_sum", 8, 0x3a8c4d840983a69e),
+    ("allreduce_sum", 13, 0x887758b30d1b1938),
+    ("allreduce_sum", 64, 0xb2ccc7a987d9a4c1),
+    ("allreduce_max", 2, 0xb5f626a2836fdf89),
+    ("allreduce_max", 3, 0xc633b92fbc38638e),
+    ("allreduce_max", 5, 0x48e03838410cce0e),
+    ("allreduce_max", 8, 0xfae886f3ad697f2a),
+    ("allreduce_max", 13, 0x627147d5a0405fdd),
+    ("allreduce_max", 64, 0xd9e740cb05457409),
+    ("barrier", 2, 0xff9bfdaf41161d5c),
+    ("barrier", 3, 0xe5a41f8e33cd58db),
+    ("barrier", 5, 0x9036933a0382e784),
+    ("barrier", 8, 0x1f9f8737124d6916),
+    ("barrier", 13, 0xabdc19c711c41866),
+    ("barrier", 64, 0x8b773dc9b0448555),
+    ("iallreduce", 2, 0xe6d6c9c68cd20088),
+    ("iallreduce", 3, 0x364678eb3134f047),
+    ("iallreduce", 5, 0xe4748e4073a007c7),
+    ("iallreduce", 8, 0x77c271b711a922aa),
+    ("iallreduce", 13, 0xd5bc7890b2f0aa99),
+    ("iallreduce", 64, 0x98a700630924c0d1),
+    ("group_allreduce", 2, 0x635db30ec318ec61),
+    ("group_allreduce", 3, 0x2fd829cd7e954cd2),
+    ("group_allreduce", 5, 0x386c99f28677988b),
+    ("group_allreduce", 8, 0xc982632903f798d9),
+    ("group_allreduce", 13, 0x81f91e77770e5a9e),
+    ("group_allreduce", 64, 0xecf22ac350ad4e25),
+    ("group_iallreduce", 2, 0x9d4d25772e0188ec),
+    ("group_iallreduce", 3, 0x75b3f2beb9a92e7c),
+    ("group_iallreduce", 5, 0x0273c2a8a66f9534),
+    ("group_iallreduce", 8, 0x5f9d0555949da7cd),
+    ("group_iallreduce", 13, 0xc3abe9de7a402c70),
+    ("group_iallreduce", 64, 0xa3f8430e3740b93e),
+    ("group_barrier", 2, 0x34b1ceada274507c),
+    ("group_barrier", 3, 0xd768393039ac0d75),
+    ("group_barrier", 5, 0x5561a796bc1224fb),
+    ("group_barrier", 8, 0xd139a0cda90119dd),
+    ("group_barrier", 13, 0x06185e8185f09305),
+    ("group_barrier", 64, 0x20462b29c6d21422),
+];
+
+#[test]
+fn collectives_with_staggered_entry_clocks_are_pinned_bitwise() {
+    let cases = [
+        "allreduce_sum",
+        "allreduce_max",
+        "barrier",
+        "iallreduce",
+        "group_allreduce",
+        "group_iallreduce",
+        "group_barrier",
+    ];
+    let mut got = Vec::new();
+    for case in cases {
+        for n in [2usize, 3, 5, 8, 13, 64] {
+            got.push((case, n, run_pin(n, case)));
+        }
+    }
+    let table: String = got
+        .iter()
+        .map(|(c, n, d)| format!("    (\"{c}\", {n}, {d:#018x}),\n"))
+        .collect();
+    assert_eq!(got.len(), PINS.len(), "pin table:\n{table}");
+    for ((c, n, d), &(pc, pn, pd)) in got.iter().zip(PINS) {
+        assert_eq!((*c, *n), (pc, pn), "pin table:\n{table}");
+        assert_eq!(*d, pd, "{c} at N = {n} moved; pin table:\n{table}");
+    }
+}
