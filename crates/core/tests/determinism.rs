@@ -18,6 +18,9 @@ use esr_core::{run_pcg, Problem, SolverConfig};
 use parcomm::{CostModel, FailureScript};
 use sparsemat::gen::poisson2d;
 
+/// Per-node scheduler parks of the 13-node two-failure solve below.
+const PINNED_PARKS: [u64; 13] = [76, 77, 77, 104, 104, 77, 77, 77, 55, 52, 52, 76, 75];
+
 fn bits(v: f64) -> u64 {
     v.to_bits()
 }
@@ -66,6 +69,15 @@ fn failure_recovery_solve_is_bitwise_reproducible() {
     // wait/size histograms (whose bucket counts detect any reordering of
     // individual receive charges, not just changed totals).
     assert_eq!(r1.stats, r2.stats);
+
+    // Scheduler parks are deterministic too, so they are pinned: every
+    // blocking receive that found no message and every collective
+    // rendezvous reached before its last member parks once. Moving the
+    // recursive-doubling collectives back onto per-round messages (or any
+    // other change to how often nodes hand the baton over) moves this.
+    let parks: Vec<u64> = r1.per_node.iter().map(|p| p.stats.parks()).collect();
+    assert_eq!(parks, PINNED_PARKS, "per-node scheduler parks moved");
+    assert_eq!(r1.stats.parks(), PINNED_PARKS.iter().sum::<u64>());
 
     // Per-node outcomes.
     assert_eq!(r1.per_node.len(), r2.per_node.len());

@@ -32,6 +32,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use crate::comm::ReduceOp;
 use crate::payload::Message;
+use crate::rendezvous;
 use crate::tag::Tag;
 
 /// Audit stamp carried by every [`Message`].
@@ -158,15 +159,7 @@ impl AuditState {
 const MAX_REPORTED: usize = 20;
 
 fn describe_coll(c: &CollEvent) -> String {
-    let mut s = String::from(crate::tag::op::name(c.kind));
-    if let Some(rop) = c.rop {
-        s.push_str(&format!("({rop:?})"));
-    }
-    if let Some(len) = c.len {
-        s.push_str(&format!(" len {len}"));
-    }
-    s.push_str(&format!(" on {} members", c.n_members));
-    s
+    rendezvous::describe_coll(c.kind, c.rop, c.len, c.n_members)
 }
 
 fn window_name(w: Option<u32>) -> String {
@@ -259,11 +252,7 @@ pub(crate) fn check_teardown(
                 .push((log.rank, c));
         }
     }
-    for ((scope, seq), parts) in &instances {
-        let scope_name = match scope {
-            Some(gid) => format!("group {gid:#x}"),
-            None => "world".to_string(),
-        };
+    for (&(scope, seq), parts) in &instances {
         let (rank0, ev0) = parts[0];
         if let Some((rank, ev)) = parts[1..].iter().find(|(_, c)| {
             c.kind != ev0.kind
@@ -271,11 +260,11 @@ pub(crate) fn check_teardown(
                 || c.members_hash != ev0.members_hash
                 || c.n_members != ev0.n_members
         }) {
-            violations.push(format!(
-                "[collective-mismatch] {scope_name} collective seq {seq}: rank {rank0} \
-                 issued {} but rank {rank} issued {}",
-                describe_coll(ev0),
-                describe_coll(ev),
+            violations.push(rendezvous::issued_mismatch(
+                scope,
+                seq,
+                (rank0, &describe_coll(ev0)),
+                (*rank, &describe_coll(ev)),
             ));
             continue;
         }
@@ -283,11 +272,12 @@ pub(crate) fn check_teardown(
         let mut with_len = parts.iter().filter_map(|&(r, c)| c.len.map(|l| (r, l)));
         if let Some((r0, l0)) = with_len.next() {
             if let Some((r1, l1)) = with_len.find(|&(_, l)| l != l0) {
-                violations.push(format!(
-                    "[collective-mismatch] {scope_name} collective seq {seq} \
-                     ({}): rank {r0} contributed len {l0} but rank {r1} \
-                     contributed len {l1}",
-                    describe_coll(ev0),
+                violations.push(rendezvous::len_mismatch(
+                    scope,
+                    seq,
+                    &describe_coll(ev0),
+                    (r0, l0),
+                    (r1, l1),
                 ));
                 continue;
             }
@@ -297,8 +287,9 @@ pub(crate) fn check_teardown(
         if clean && parts.len() != ev0.n_members {
             let present: Vec<usize> = parts.iter().map(|&(r, _)| r).collect();
             violations.push(format!(
-                "[collective-mismatch] {scope_name} collective seq {seq} ({}): only \
+                "[collective-mismatch] {} collective seq {seq} ({}): only \
                  {} of {} members participated (ranks {present:?})",
+                rendezvous::scope_name(scope),
                 describe_coll(ev0),
                 parts.len(),
                 ev0.n_members,

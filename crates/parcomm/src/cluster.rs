@@ -663,6 +663,92 @@ mod tests {
         });
     }
 
+    /// Run a program that must deadlock; return the cluster's panic text.
+    fn deadlock_message<F>(n: usize, program: F) -> String
+    where
+        F: Fn(&mut NodeCtx) + Sync,
+    {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Cluster::run(ClusterConfig::new(n), &program);
+        }))
+        .expect_err("the program deadlocks");
+        err.downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "<non-string panic>".to_string())
+    }
+
+    #[test]
+    fn collective_missing_a_terminated_member_is_reported() {
+        // Rank 2 returns without calling the all-reduce its peers wait in.
+        let msg = deadlock_message(3, |ctx| {
+            if ctx.rank() != 2 {
+                ctx.allreduce_sum(1.0);
+            }
+        });
+        assert!(
+            msg.contains(
+                "[deadlock] wait chain ends at a terminated rank: rank 0 waiting in \
+                 allreduce seq 0 on world -> rank 2 (terminated)"
+            ),
+            "{msg}"
+        );
+        assert!(
+            msg.contains(
+                "collective allreduce seq 0 on world has 2 of 3 members: never arrived: \
+                 rank 2 (terminated)"
+            ),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn barrier_behind_a_recv_cycle_is_reported() {
+        // Ranks 0 and 1 wait in a barrier for ranks 2 and 3, which wait
+        // for each other in receives.
+        let msg = deadlock_message(4, |ctx| {
+            if ctx.rank() < 2 {
+                ctx.barrier();
+            } else {
+                let peer = 5 - ctx.rank();
+                ctx.recv(peer, 1);
+            }
+        });
+        assert!(
+            msg.contains(
+                "[deadlock] wait-for cycle, no messages in flight: \
+                 rank 2 blocked in recv(src 3, tag user(1)) -> \
+                 rank 3 blocked in recv(src 2, tag user(1)) -> rank 2"
+            ),
+            "{msg}"
+        );
+        assert!(
+            msg.contains(
+                "collective barrier seq 0 on world has 2 of 4 members: never arrived: \
+                 rank 2 blocked in recv(src 3, tag user(1)), \
+                 rank 3 blocked in recv(src 2, tag user(1))"
+            ),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn group_collective_names_its_communicator() {
+        // Rank 3 belongs to the group but never joins its all-reduce.
+        let msg = deadlock_message(4, |ctx| {
+            if ctx.rank() == 1 || ctx.rank() == 3 {
+                let mut g = ctx.group(&[1, 3]);
+                if ctx.rank() == 1 {
+                    g.allreduce_sum(ctx, 1.0);
+                }
+            }
+        });
+        assert!(
+            msg.contains("rank 1 waiting in allreduce seq 0 on group 0x"),
+            "{msg}"
+        );
+        assert!(msg.contains("never arrived: rank 3 (terminated)"), "{msg}");
+    }
+
     #[test]
     #[should_panic(expected = "node 1 panicked")]
     fn node_panic_propagates() {

@@ -3,12 +3,15 @@
 //!
 //! Collectives have a **structure fixed by (root, size)**, so floating-point
 //! reductions are bitwise reproducible across runs — the reduction order
-//! never depends on message timing. Broadcast and gather use binomial trees;
-//! all-reduce uses **recursive doubling** (⌈log₂N⌉ rounds, no root
-//! bottleneck; non-power-of-two sizes fold the surplus ranks in before and
-//! out after the doubling phase, +2 rounds). This mirrors what MPI
-//! implementations provide on a fixed topology and is essential for the
-//! reproducibility of the numerical experiments.
+//! never depends on message timing. Broadcast and gather use binomial trees
+//! of point-to-point messages; all-reduce and barrier use **recursive
+//! doubling** (⌈log₂N⌉ rounds, no root bottleneck; non-power-of-two sizes
+//! fold the surplus ranks in before and out after the doubling phase, +2
+//! rounds), completed in one step at a scheduler rendezvous and charged
+//! round by round as the messages would have been (see
+//! [`crate::rendezvous`]). This mirrors what MPI implementations provide on
+//! a fixed topology and is essential for the reproducibility of the
+//! numerical experiments.
 
 use std::collections::HashMap;
 
@@ -18,7 +21,8 @@ use crate::fault::{FailAt, FaultOracle};
 use crate::group::Group;
 use crate::mailbox::{Mailbox, Outbox};
 use crate::payload::{Message, Payload};
-use crate::request::{AllreduceRequest, EnginePort, RecvRequest, SendRequest};
+use crate::rendezvous::{RdCall, RdPlan};
+use crate::request::{AllreduceRequest, RecvRequest, SendRequest};
 use crate::stats::{CommPhase, CommStats};
 use crate::tag::{op, Tag};
 use crate::vclock::VClock;
@@ -428,14 +432,43 @@ impl NodeCtx {
 
     pub(crate) fn send_tag(&mut self, dest: usize, tag: Tag, payload: Payload, phase: CommPhase) {
         debug_assert!(dest < self.size, "send to rank {} of {}", dest, self.size);
-        let elems = payload.elems();
+        let arrival_vtime = self.charge_send(dest, tag, payload.elems(), phase);
+        self.raw_send(dest, tag, payload, arrival_vtime);
+    }
+
+    /// Charge a blocking send of `elems` elements to `dest`: statistics,
+    /// the sender's clock (busy for `λ + s·µ`) and the trace. Returns the
+    /// message's arrival stamp.
+    fn charge_send(&mut self, dest: usize, tag: Tag, elems: usize, phase: CommPhase) -> f64 {
         self.stats.record_send(phase, elems);
         let t0 = self.clock.now();
         let arrival_vtime = self.clock.stamp_send(elems);
         self.stats.record_send_vtime(phase, arrival_vtime - t0);
         #[cfg(feature = "trace")]
         self.trace_send_event(phase, dest, tag, elems, t0, arrival_vtime - t0, false);
-        self.raw_send(dest, tag, payload, arrival_vtime);
+        #[cfg(not(feature = "trace"))]
+        let _ = (dest, tag);
+        arrival_vtime
+    }
+
+    /// Charge a blocking receive of a message from `src` stamped
+    /// `arrival_vtime`: the stall until it arrives, statistics and trace.
+    fn charge_recv(
+        &mut self,
+        src: usize,
+        tag: Tag,
+        elems: usize,
+        arrival_vtime: f64,
+        phase: CommPhase,
+    ) {
+        #[cfg(feature = "trace")]
+        let t0 = self.clock.now();
+        let stall = self.clock.absorb_arrival(arrival_vtime);
+        self.stats.record_wait_vtime(phase, stall);
+        #[cfg(feature = "trace")]
+        self.trace_recv_event(phase, src, tag, elems, t0, stall, false);
+        #[cfg(not(feature = "trace"))]
+        let _ = (src, tag, elems);
     }
 
     /// Deliver a message with an explicit arrival stamp, touching neither
@@ -461,11 +494,18 @@ impl NodeCtx {
         }
     }
 
-    /// Blocking mailbox receive with no clock or stats effects (the
-    /// non-blocking engine accounts on its own timeline).
+    /// Blocking mailbox receive with no clock effects (the non-blocking
+    /// engine accounts on its own timeline); only a park is counted.
     pub(crate) fn raw_recv_blocking(&mut self, src: usize, tag: Tag) -> Message {
+        self.mailbox_recv(Some(src), tag)
+    }
+
+    /// Match `(src, tag)` (`src: None` ⇒ any source) in the mailbox,
+    /// parking on the scheduler until a matching message is delivered.
+    fn mailbox_recv(&mut self, src: Option<usize>, tag: Tag) -> Message {
         let now = self.clock.now();
-        let m = self.mailbox.recv(src, tag, now);
+        let (m, parks) = self.mailbox.recv_matching(src, tag, now);
+        self.stats.record_parks(parks);
         self.audit_recv(&m);
         m
     }
@@ -548,33 +588,20 @@ impl NodeCtx {
 
     pub(crate) fn recv_tag(&mut self, src: usize, tag: Tag, phase: CommPhase) -> Message {
         let m = self.raw_recv_blocking(src, tag);
-        #[cfg(feature = "trace")]
-        let t0 = self.clock.now();
-        let stall = self.clock.absorb_arrival(m.arrival_vtime);
-        self.stats.record_wait_vtime(phase, stall);
-        #[cfg(feature = "trace")]
-        self.trace_recv_event(phase, src, tag, m.payload.elems(), t0, stall, false);
+        self.charge_recv(src, tag, m.payload.elems(), m.arrival_vtime, phase);
         m
     }
 
     /// Blocking receive of a user-tagged message from any source.
     pub fn recv_any(&mut self, tag: u32) -> (usize, Payload) {
-        let now = self.clock.now();
-        let m = self.mailbox.recv_any(Tag::user(tag), now);
-        self.audit_recv(&m);
-        #[cfg(feature = "trace")]
-        let t0 = self.clock.now();
-        let stall = self.clock.absorb_arrival(m.arrival_vtime);
-        self.stats.record_wait_vtime(CommPhase::Other, stall);
-        #[cfg(feature = "trace")]
-        self.trace_recv_event(
-            CommPhase::Other,
+        let tag = Tag::user(tag);
+        let m = self.mailbox_recv(None, tag);
+        self.charge_recv(
             m.src,
-            Tag::user(tag),
+            tag,
             m.payload.elems(),
-            t0,
-            stall,
-            false,
+            m.arrival_vtime,
+            CommPhase::Other,
         );
         (m.src, m.payload)
     }
@@ -643,12 +670,9 @@ impl NodeCtx {
             members_hash: audit::WORLD_HASH,
             n_members: self.size,
         });
-        let (rank, size) = (self.rank, self.size);
         self.trace_open("iallreduce", seq);
         let start = self.clock.now();
-        let mut port = EnginePort::new(self, start, CommPhase::Reduction);
-        let (acc, rounds) = rd_allreduce(&mut port, rank, size, None, tag, opr, x);
-        let done_at = port.now();
+        let (acc, rounds, done_at) = self.rd_engine(self.world_rd(tag, Some(opr)), x);
         self.trace_close();
         self.stats.record_allreduce(rounds);
         AllreduceRequest::new(acc, start, done_at, CommPhase::Reduction)
@@ -680,13 +704,8 @@ impl NodeCtx {
             members_hash: audit::WORLD_HASH,
             n_members: self.size,
         });
-        let (rank, size) = (self.rank, self.size);
         self.trace_open("barrier", seq);
-        let mut port = BlockingPort {
-            ctx: self,
-            phase: CommPhase::Reduction,
-        };
-        rd_allreduce(&mut port, rank, size, None, tag, ReduceOp::Sum, Vec::new());
+        self.rd_blocking(self.world_rd(tag, None), Vec::new());
         self.trace_close();
     }
 
@@ -747,13 +766,8 @@ impl NodeCtx {
             members_hash: audit::WORLD_HASH,
             n_members: self.size,
         });
-        let (rank, size) = (self.rank, self.size);
         self.trace_open("allreduce", seq);
-        let mut port = BlockingPort {
-            ctx: self,
-            phase: CommPhase::Reduction,
-        };
-        let (acc, rounds) = rd_allreduce(&mut port, rank, size, None, tag, opr, x);
+        let (acc, rounds) = self.rd_blocking(self.world_rd(tag, Some(opr)), x);
         self.trace_close();
         self.stats.record_allreduce(rounds);
         acc
@@ -913,6 +927,96 @@ impl NodeCtx {
     }
 
     // ------------------------------------------------------------------
+    // Recursive-doubling collectives (all-reduce, barrier)
+    // ------------------------------------------------------------------
+
+    /// A world-communicator recursive-doubling call (phase `Reduction`).
+    fn world_rd(&self, tag: Tag, opr: Option<ReduceOp>) -> RdColl<'static> {
+        RdColl {
+            index: self.rank,
+            members: None,
+            tag,
+            opr,
+            phase: CommPhase::Reduction,
+        }
+    }
+
+    /// Reach the rendezvous of a recursive-doubling collective (see
+    /// [`crate::rendezvous`]) and return this member's plan. Parks until
+    /// the last member arrives — unless this is the last member, which
+    /// completes the collective for everyone.
+    fn rd_plan(&mut self, coll: &RdColl<'_>, x: Vec<f64>) -> RdPlan {
+        let n = coll.members.map_or(self.size, <[usize]>::len);
+        if n == 1 {
+            return RdPlan::alone(x);
+        }
+        let call = RdCall {
+            index: coll.index,
+            tag: coll.tag,
+            opr: coll.opr,
+            n,
+            clock: self.clock.now(),
+            msg_cost: self.clock.model().msg_cost(x.len()),
+            buf: x,
+        };
+        let sched = self
+            .sched
+            .as_ref()
+            .expect("a collective over several nodes runs inside a cluster");
+        let (plan, parked) = sched.rendezvous(self.rank, coll.members, call);
+        self.stats.record_parks(u64::from(parked));
+        plan
+    }
+
+    /// A blocking recursive-doubling collective: each round's send charges
+    /// this node's clock `λ + s·µ`, each receive stalls it until the
+    /// partner's arrival stamp. Returns the result and the rounds taken.
+    pub(crate) fn rd_blocking(&mut self, coll: RdColl<'_>, x: Vec<f64>) -> (Vec<f64>, usize) {
+        let plan = self.rd_plan(&coll, x);
+        for (round, r) in plan.rounds.iter().enumerate() {
+            self.trace_open("round", round as u64);
+            if r.send {
+                self.charge_send(r.peer, coll.tag, plan.elems, coll.phase);
+            }
+            if let Some(arrival) = r.recv {
+                self.charge_recv(r.peer, coll.tag, plan.elems, arrival, coll.phase);
+            }
+            self.trace_close();
+        }
+        (plan.result, plan.rounds.len())
+    }
+
+    /// A non-blocking recursive-doubling collective, run on a detached
+    /// engine timeline that starts at the call: sends advance the engine
+    /// by the full transfer cost, receives wait (on the engine timeline)
+    /// for the partner's stamp, and the node clock is never touched — the
+    /// request's `wait` charges the un-hidden remainder. Returns the
+    /// result, the rounds taken and the completion time.
+    pub(crate) fn rd_engine(&mut self, coll: RdColl<'_>, x: Vec<f64>) -> (Vec<f64>, usize, f64) {
+        let mut now = self.clock.now();
+        let plan = self.rd_plan(&coll, x);
+        let cost = self.clock.model().msg_cost(plan.elems);
+        for (round, r) in plan.rounds.iter().enumerate() {
+            self.trace_open("round", round as u64);
+            if r.send {
+                self.stats.record_send(coll.phase, plan.elems);
+                #[cfg(feature = "trace")]
+                self.trace_send_event(coll.phase, r.peer, coll.tag, plan.elems, now, cost, true);
+                now += cost;
+            }
+            if let Some(arrival) = r.recv {
+                if arrival > now {
+                    now = arrival;
+                }
+                #[cfg(feature = "trace")]
+                self.trace_recv_event(coll.phase, r.peer, coll.tag, plan.elems, now, 0.0, true);
+            }
+            self.trace_close();
+        }
+        (plan.result, plan.rounds.len(), now)
+    }
+
+    // ------------------------------------------------------------------
     // Binomial-tree broadcast primitive
     // ------------------------------------------------------------------
 
@@ -1032,169 +1136,23 @@ impl NodeCtx {
     }
 }
 
-/// How a recursive-doubling round moves bytes and time: the blocking path
-/// charges the node clock directly; the non-blocking engine runs the same
-/// schedule on a detached timeline (see [`crate::request::EnginePort`]).
-/// Factoring the transport out keeps the *schedule* — and therefore the
-/// bitwise result — identical between `allreduce_vec` and `iallreduce_vec`.
-pub(crate) trait RdPort {
-    fn port_send(&mut self, peer: usize, tag: Tag, payload: Payload);
-    fn port_recv(&mut self, peer: usize, tag: Tag) -> Payload;
-    /// Trace hook: one recursive-doubling communication round begins
-    /// (default no-op; ports forward to the node's tracer).
-    fn round_open(&mut self, _round: usize) {}
-    /// Trace hook: the current communication round ends.
-    fn round_close(&mut self) {}
-}
-
-/// The blocking transport: sends charge the node clock, receives stall it.
-pub(crate) struct BlockingPort<'a> {
-    pub ctx: &'a mut NodeCtx,
+/// One member's view of a recursive-doubling collective call.
+pub(crate) struct RdColl<'a> {
+    /// This member's participant index.
+    pub index: usize,
+    /// Participant ranks by index; `None` for the world (index = rank).
+    pub members: Option<&'a [usize]>,
+    /// The collective's tag (one tag covers all rounds).
+    pub tag: Tag,
+    /// Reduction operator; `None` for a barrier.
+    pub opr: Option<ReduceOp>,
+    /// Accounting phase of the collective's traffic.
     pub phase: CommPhase,
-}
-
-impl RdPort for BlockingPort<'_> {
-    fn port_send(&mut self, peer: usize, tag: Tag, payload: Payload) {
-        self.ctx.send_tag(peer, tag, payload, self.phase);
-    }
-
-    fn port_recv(&mut self, peer: usize, tag: Tag) -> Payload {
-        self.ctx.recv_tag(peer, tag, self.phase).payload
-    }
-
-    fn round_open(&mut self, round: usize) {
-        self.ctx.trace_open("round", round as u64);
-    }
-
-    fn round_close(&mut self) {
-        self.ctx.trace_close();
-    }
-}
-
-/// Deterministic recursive-doubling all-reduce over `n` participants.
-///
-/// `my_index` is this node's participant index; `members` maps participant
-/// indices to global ranks (`None` ⇒ identity, i.e. the world communicator).
-/// Returns the reduced buffer — **bitwise identical on every participant** —
-/// and the number of communication rounds this participant took part in.
-///
-/// The standard MPICH scheme, fixed pairing so reductions are reproducible:
-///
-/// 1. **Fold-in** (non-power-of-two only): the first `2·rem` indices pair up
-///    `(2k, 2k+1)`; evens push their buffer to the odd neighbour and sit
-///    out. `pof2 = n − rem` participants remain.
-/// 2. **Doubling**: `log₂(pof2)` rounds; in round `mask` each participant
-///    exchanges its partial with `index ⊕ mask` and both combine. Partial
-///    results are always combined lower-index-group first, so after every
-///    round both partners hold bitwise-identical buffers.
-/// 3. **Fold-out**: the odd fold-in indices return the finished result to
-///    their even neighbours.
-///
-/// Within one call every ordered pair of participants exchanges at most one
-/// message, so a single tag covers all rounds.
-pub(crate) fn rd_allreduce<P: RdPort>(
-    port: &mut P,
-    my_index: usize,
-    n: usize,
-    members: Option<&[usize]>,
-    tag: Tag,
-    opr: ReduceOp,
-    x: Vec<f64>,
-) -> (Vec<f64>, usize) {
-    if n == 1 {
-        return (x, 0);
-    }
-    let rank_of = |i: usize| members.map_or(i, |m| m[i]);
-    let mut acc = x;
-    let pof2 = prev_power_of_two(n);
-    let rem = n - pof2;
-    let mut rounds = 0usize;
-
-    // Phase 1: fold-in.
-    let newidx = if my_index < 2 * rem {
-        port.round_open(rounds);
-        rounds += 1;
-        let r = if my_index.is_multiple_of(2) {
-            let peer = rank_of(my_index + 1);
-            port.port_send(peer, tag, Payload::f64s(acc.clone()));
-            None // folded out until phase 3
-        } else {
-            let theirs = port.port_recv(rank_of(my_index - 1), tag).into_f64s();
-            acc = combined(opr, theirs, &acc); // lower index first
-            Some(my_index / 2)
-        };
-        port.round_close();
-        r
-    } else {
-        Some(my_index - rem)
-    };
-
-    // Phase 2: doubling among the pof2 survivors. `orig` maps a doubling
-    // index back to the participant index holding it.
-    if let Some(v) = newidx {
-        let orig = |d: usize| if d < rem { 2 * d + 1 } else { d + rem };
-        let mut mask = 1usize;
-        while mask < pof2 {
-            port.round_open(rounds);
-            let peer = rank_of(orig(v ^ mask));
-            port.port_send(peer, tag, Payload::f64s(acc.clone()));
-            let theirs = port.port_recv(peer, tag).into_f64s();
-            if v & mask == 0 {
-                opr.combine(&mut acc, &theirs);
-            } else {
-                acc = combined(opr, theirs, &acc);
-            }
-            port.round_close();
-            mask <<= 1;
-            rounds += 1;
-        }
-    }
-
-    // Phase 3: fold-out.
-    if my_index < 2 * rem {
-        port.round_open(rounds);
-        rounds += 1;
-        if my_index % 2 == 1 {
-            let peer = rank_of(my_index - 1);
-            port.port_send(peer, tag, Payload::f64s(acc.clone()));
-        } else {
-            acc = port.port_recv(rank_of(my_index + 1), tag).into_f64s();
-        }
-        port.round_close();
-    }
-    (acc, rounds)
-}
-
-/// `lower ⊕ higher` with the lower-index group as the left operand — the
-/// canonical combination order every participant applies identically.
-fn combined(opr: ReduceOp, mut lower: Vec<f64>, higher: &[f64]) -> Vec<f64> {
-    opr.combine(&mut lower, higher);
-    lower
-}
-
-/// Largest power of two ≤ `n` (`n ≥ 1`).
-fn prev_power_of_two(n: usize) -> usize {
-    debug_assert!(n >= 1);
-    if n.is_power_of_two() {
-        n
-    } else {
-        n.next_power_of_two() >> 1
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn prev_power_of_two_bounds() {
-        assert_eq!(prev_power_of_two(1), 1);
-        assert_eq!(prev_power_of_two(2), 2);
-        assert_eq!(prev_power_of_two(3), 2);
-        assert_eq!(prev_power_of_two(13), 8);
-        assert_eq!(prev_power_of_two(16), 16);
-        assert_eq!(prev_power_of_two(64), 64);
-    }
 
     #[test]
     fn split_by_counts_partitions() {

@@ -6,17 +6,16 @@
 //! A [`Group`] gives them a private collective context, like an MPI
 //! sub-communicator obtained from `MPI_Comm_split`.
 //!
-//! Group all-reduces use the same recursive-doubling algorithm as the world
-//! communicator (see [`crate::comm`]), over group indices instead of global
-//! ranks — recovery's inner solves get the ⌈log₂ψ⌉-round cost too.
+//! Group all-reduces and barriers use the same recursive-doubling
+//! rendezvous as the world communicator (see [`crate::rendezvous`]), over
+//! group indices instead of global ranks — recovery's inner solves get the
+//! ⌈log₂ψ⌉-round cost too.
 
 #[cfg(feature = "audit")]
 use crate::audit;
-use crate::comm::{
-    alltoallv_generic, rd_allreduce, split_by_counts, BlockingPort, NodeCtx, ReduceOp,
-};
+use crate::comm::{alltoallv_generic, split_by_counts, NodeCtx, RdColl, ReduceOp};
 use crate::payload::Payload;
-use crate::request::{AllreduceRequest, EnginePort};
+use crate::request::AllreduceRequest;
 use crate::stats::CommPhase;
 use crate::tag::{op, Tag};
 
@@ -73,6 +72,17 @@ impl Group {
         s
     }
 
+    /// A recursive-doubling call over the group's members.
+    fn rd(&self, tag: Tag, opr: Option<ReduceOp>, phase: CommPhase) -> RdColl<'_> {
+        RdColl {
+            index: self.my_index,
+            members: Some(&self.members),
+            tag,
+            opr,
+            phase,
+        }
+    }
+
     /// Build the audit record for a group collective: scoped by `gid` so the
     /// checker compares schedules member-against-member, never across groups.
     #[cfg(feature = "audit")]
@@ -101,19 +111,7 @@ impl Group {
         #[cfg(feature = "audit")]
         ctx.audit_coll(self.coll_event(seq, op::BARRIER, None, Some(0)));
         ctx.trace_open("group_barrier", seq as u64);
-        let mut port = BlockingPort {
-            ctx,
-            phase: CommPhase::Recovery,
-        };
-        rd_allreduce(
-            &mut port,
-            self.my_index,
-            self.members.len(),
-            Some(&self.members),
-            tag,
-            ReduceOp::Sum,
-            Vec::new(),
-        );
+        ctx.rd_blocking(self.rd(tag, None, CommPhase::Recovery), Vec::new());
         ctx.trace_close();
     }
 
@@ -150,16 +148,7 @@ impl Group {
         #[cfg(feature = "audit")]
         ctx.audit_coll(self.coll_event(seq, op::ALLREDUCE, Some(opr), Some(x.len())));
         ctx.trace_open("group_allreduce", seq as u64);
-        let mut port = BlockingPort { ctx, phase };
-        let (acc, rounds) = rd_allreduce(
-            &mut port,
-            self.my_index,
-            self.members.len(),
-            Some(&self.members),
-            tag,
-            opr,
-            x,
-        );
+        let (acc, rounds) = ctx.rd_blocking(self.rd(tag, Some(opr), phase), x);
         ctx.trace_close();
         ctx.stats_mut().record_allreduce(rounds);
         acc
@@ -168,7 +157,7 @@ impl Group {
     /// Non-blocking group element-wise all-reduce: the same detached-engine
     /// semantics as [`NodeCtx::iallreduce_vec`], over the group's members.
     /// The result is bitwise identical to [`Group::allreduce_vec_phase`]
-    /// (the identical recursive-doubling schedule runs, only the time
+    /// (the identical recursive-doubling schedule completes, only the time
     /// accounting differs), so a solver that continues on a shrunken
     /// communicator keeps both its overlap *and* its determinism.
     pub fn iallreduce_vec_phase(
@@ -184,17 +173,7 @@ impl Group {
         ctx.audit_coll(self.coll_event(seq, op::ALLREDUCE, Some(opr), Some(x.len())));
         ctx.trace_open("group_iallreduce", seq as u64);
         let start = ctx.clock().now();
-        let mut port = EnginePort::new(ctx, start, phase);
-        let (acc, rounds) = rd_allreduce(
-            &mut port,
-            self.my_index,
-            self.members.len(),
-            Some(&self.members),
-            tag,
-            opr,
-            x,
-        );
-        let done_at = port.now();
+        let (acc, rounds, done_at) = ctx.rd_engine(self.rd(tag, Some(opr), phase), x);
         ctx.trace_close();
         ctx.stats_mut().record_allreduce(rounds);
         AllreduceRequest::new(acc, start, done_at, phase)

@@ -18,9 +18,11 @@
 //! * point-to-point [`NodeCtx::send`] / [`NodeCtx::recv`] with
 //!   `(source, tag)` matching,
 //! * deterministic collectives ([`NodeCtx::allreduce_sum`],
-//!   [`NodeCtx::allgatherv_f64`], [`NodeCtx::alltoallv_u64`], …) built on
-//!   point-to-point messages — recursive doubling for all-reduce,
-//!   binomial trees for broadcast/gather,
+//!   [`NodeCtx::allgatherv_f64`], [`NodeCtx::alltoallv_u64`], …) —
+//!   recursive doubling for all-reduce and barrier, completed at a
+//!   scheduler rendezvous ([`rendezvous`]) and charged as its messages
+//!   would be; binomial trees of point-to-point messages for
+//!   broadcast/gather,
 //! * non-blocking operations ([`NodeCtx::isend`], [`NodeCtx::irecv`],
 //!   [`NodeCtx::iallreduce_vec`]) with request handles ([`request`]) and an
 //!   **overlap-aware clock**: compute issued between start and wait hides
@@ -54,6 +56,7 @@ pub mod fault;
 pub mod group;
 pub mod mailbox;
 pub mod payload;
+pub(crate) mod rendezvous;
 pub mod request;
 pub(crate) mod sched;
 pub mod stats;

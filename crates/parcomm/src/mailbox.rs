@@ -104,20 +104,28 @@ impl Mailbox {
     /// the moment no node is runnable and reports the exact wait-for cycle
     /// (or terminated-rank chain). A standalone mailbox panics immediately.
     pub fn recv(&mut self, src: usize, tag: Tag, now: f64) -> Message {
-        self.recv_matching(Some(src), tag, now)
+        self.recv_matching(Some(src), tag, now).0
     }
 
     /// Blocking receive matching a tag from *any* source. Returns the full
     /// message so the caller learns the source.
     pub fn recv_any(&mut self, tag: Tag, now: f64) -> Message {
-        self.recv_matching(None, tag, now)
+        self.recv_matching(None, tag, now).0
     }
 
-    fn recv_matching(&mut self, src: Option<usize>, tag: Tag, now: f64) -> Message {
+    /// Blocking receive matching `(src, tag)` (`src: None` ⇒ any source);
+    /// also returns how many times the node parked waiting for it.
+    pub(crate) fn recv_matching(
+        &mut self,
+        src: Option<usize>,
+        tag: Tag,
+        now: f64,
+    ) -> (Message, u64) {
         let matches = |m: &Message| src.is_none_or(|s| m.src == s) && m.tag == tag;
+        let mut parks = 0;
         loop {
             if let Some(pos) = self.pending.iter().position(matches) {
-                return self.take_pending(pos);
+                return (self.take_pending(pos), parks);
             }
             if self.drain_channel() {
                 continue;
@@ -125,6 +133,7 @@ impl Mailbox {
             // Nothing delivered matches: park until a matching send wakes
             // us (the re-scan above is then guaranteed to succeed — the
             // scheduler wakes on match only).
+            parks += 1;
             match &self.sched {
                 Some(sched) => sched.park_recv(self.rank, BlockedOn { src, tag }, now),
                 None => panic!(

@@ -11,7 +11,7 @@
 //!
 //! * `start` records the operation's begin time `t₀` and computes its
 //!   completion time `T` on the engine timeline (for collectives the engine
-//!   replays the exact recursive-doubling schedule, so the *result* is
+//!   runs the exact recursive-doubling schedule, so the *result* is
 //!   bitwise identical to the blocking collective);
 //! * compute issued between `start` and `wait` advances the node clock
 //!   normally — concurrently with the flight time;
@@ -20,86 +20,20 @@
 //!   the overlapped part `T − t₀ − exposed` as *hidden*
 //!   ([`crate::CommStats::hidden_vtime`]).
 //!
-//! The engine drains its partner messages eagerly through the real mailbox
-//! inside `start` — which may park the node on the scheduler like any
-//! blocking receive. That is invisible to the cost model: scheduling order
-//! carries no time, virtual time is what the experiments measure.
+//! A non-blocking collective completes eagerly inside `start`: the node
+//! meets the other members at the scheduler rendezvous (parking until the
+//! last one arrives, like a blocking collective) and replays its rounds on
+//! the engine timeline. That is invisible to the cost model: scheduling
+//! order carries no time, virtual time is what the experiments measure.
 //!
 //! Requests are **linear**: every request must be consumed by `wait`.
 //! Dropping an un-waited request is a protocol bug (MPI would leak the
 //! request and possibly its buffer) and panics.
 
-use crate::comm::{NodeCtx, RdPort};
+use crate::comm::NodeCtx;
 use crate::payload::Payload;
 use crate::stats::CommPhase;
 use crate::tag::Tag;
-
-/// The detached transport used by non-blocking collectives: the same
-/// recursive-doubling schedule as the blocking path, but time flows on the
-/// engine's own clock (`now`), starting from the moment the operation was
-/// issued. Sends advance the engine by the full transfer cost; receives
-/// wait (on the engine timeline) for the partner's stamp. The node clock is
-/// never touched — the caller charges the un-hidden remainder at `wait`.
-pub(crate) struct EnginePort<'a> {
-    ctx: &'a mut NodeCtx,
-    now: f64,
-    phase: CommPhase,
-}
-
-impl<'a> EnginePort<'a> {
-    pub(crate) fn new(ctx: &'a mut NodeCtx, start: f64, phase: CommPhase) -> Self {
-        EnginePort {
-            ctx,
-            now: start,
-            phase,
-        }
-    }
-
-    /// The engine's current time (the operation's completion time once the
-    /// schedule has run).
-    pub(crate) fn now(&self) -> f64 {
-        self.now
-    }
-}
-
-impl RdPort for EnginePort<'_> {
-    fn port_send(&mut self, peer: usize, tag: Tag, payload: Payload) {
-        let elems = payload.elems();
-        self.ctx.stats_mut().record_send(self.phase, elems);
-        let cost = self.ctx.clock().model().msg_cost(elems);
-        #[cfg(feature = "trace")]
-        self.ctx
-            .trace_send_event(self.phase, peer, tag, elems, self.now, cost, true);
-        self.now += cost;
-        self.ctx.raw_send(peer, tag, payload, self.now);
-    }
-
-    fn port_recv(&mut self, peer: usize, tag: Tag) -> Payload {
-        let m = self.ctx.raw_recv_blocking(peer, tag);
-        if m.arrival_vtime > self.now {
-            self.now = m.arrival_vtime;
-        }
-        #[cfg(feature = "trace")]
-        self.ctx.trace_recv_event(
-            self.phase,
-            peer,
-            tag,
-            m.payload.elems(),
-            self.now,
-            0.0,
-            true,
-        );
-        m.payload
-    }
-
-    fn round_open(&mut self, round: usize) {
-        self.ctx.trace_open("round", round as u64);
-    }
-
-    fn round_close(&mut self) {
-        self.ctx.trace_close();
-    }
-}
 
 /// Charge the un-hidden remainder of an operation spanning
 /// `[start, done_at]` on the engine timeline: the node clock advances by

@@ -5,12 +5,27 @@
 //! thread (node programs keep their blocking call style and their private
 //! stacks), but the threads no longer free-run: exactly **one** node
 //! executes at any moment, and the scheduler decides which. A node runs
-//! until it *blocks* (a receive with no matching message) or *finishes*;
-//! the scheduler then hands the baton to the runnable node with the
-//! minimum `(virtual time, rank)` key. Execution order is therefore a
-//! pure function of the program — independent of host load, core count,
-//! and OS scheduling — and the cluster occupies one core no matter how
-//! many nodes it simulates, which is what makes N = 1024 runs routine.
+//! until it *blocks* (a receive with no matching message, or a collective
+//! rendezvous that other members have not reached yet) or *finishes*; the
+//! scheduler then hands the baton to the runnable node with the minimum
+//! `(virtual time, rank)` key. Execution order is therefore a pure
+//! function of the program — independent of host load, core count, and
+//! OS scheduling — and the cluster occupies one core no matter how many
+//! nodes it simulates, which is what makes N = 1024 runs routine.
+//!
+//! ## Park states
+//!
+//! * [`NodeState::Blocked`] — parked in a receive, waiting for a matching
+//!   `(src, tag)` message.
+//! * [`NodeState::Collective`] — parked at the **rendezvous** of a
+//!   recursive-doubling collective (all-reduce or barrier, world or
+//!   group, blocking or not), keyed by the collective instance
+//!   ([`Tag::instance`]). Each member deposits its entry clock and buffer
+//!   and parks once. The last member to arrive runs the whole schedule
+//!   for every member in memory ([`crate::rendezvous::complete`]), hands
+//!   each parked member its plan and marks it runnable. A collective
+//!   costs `n − 1` baton handoffs instead of one per message
+//!   (`n·log₂n/2` on powers of two).
 //!
 //! ## Invariants
 //!
@@ -18,28 +33,41 @@
 //!   every other thread is parked on its per-rank condvar. All scheduler
 //!   state sits behind one mutex, and the running node is the only
 //!   thread that transitions it (until the baton is handed over).
-//! * **Park implies no match.** A node parks only after draining its
-//!   channel and finding no matching message — and no peer can send
-//!   while it drains, because sending requires the baton. A parked
-//!   node's wait is therefore genuine, and "no runnable node while
-//!   blocked nodes exist" is *exactly* a deadlock: detected the instant
-//!   it forms, with the wait-for chain spelled out. No timeouts, no
-//!   snapshot heuristics.
+//! * **Park implies no progress.** A node parks in a receive only after
+//!   draining its channel and finding no matching message — and no peer
+//!   can send while it drains, because sending requires the baton. It
+//!   parks at a rendezvous only when some member has not arrived. A
+//!   parked node's wait is therefore genuine, and "no runnable node while
+//!   parked nodes exist" is *exactly* a deadlock: detected the instant it
+//!   forms, with the wait-for chain spelled out (receive sources, and the
+//!   members a collective still waits for). No timeouts, no snapshot
+//!   heuristics.
+//! * **The last arrival completes the collective and never parks.** It
+//!   keeps the baton, like a sender: the collective finishes inside its
+//!   call, and the members it wakes run when dispatch order reaches them.
 //! * **Wake on match only.** A send marks a blocked matching receiver
 //!   [`NodeState::Runnable`] (at the virtual time it parked at) but does
 //!   not preempt the sender; the receiver runs when dispatch order
-//!   reaches it.
+//!   reaches it. A completed rendezvous likewise wakes its parked members
+//!   at the virtual times they arrived with.
 //!
 //! Dispatching by minimum `(vtime, rank)` mirrors the BSP cost model of
 //! [`crate::vclock`]: virtual time advances only through each node's own
 //! compute and communication charges, and message arrival stamps are
 //! fixed by the sender — the scheduler's choice never feeds back into
-//! the clock algebra. Every virtual-time result is bitwise identical to
-//! the old free-running thread-per-node runtime, which computed the same
-//! clock values in whatever order the host happened to run the threads.
+//! the clock algebra. The rendezvous is vtime-neutral for the same
+//! reason: a member's clock after a recursive-doubling collective depends
+//! only on the entry clocks and the fixed pairing, not on when each
+//! member's thread ran, so computing every member's rounds in one place
+//! yields the arrival stamps the messages would have carried. Every
+//! virtual-time result is bitwise identical to the old free-running
+//! thread-per-node runtime, which computed the same clock values in
+//! whatever order the host happened to run the threads.
 
+use std::collections::HashMap;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
+use crate::rendezvous::{complete, describe_instance, RdCall, RdPlan};
 use crate::tag::Tag;
 
 /// What a blocked node is waiting for (`src: None` ⇒ any source).
@@ -65,7 +93,7 @@ impl BlockedOn {
 /// The node lifecycle, as the scheduler sees it. (Failed-and-replaced
 /// and retired are *solver-level* roles layered on top — see
 /// [`crate::fault`]; a node acting as a replacement or retiring early is
-/// still Runnable/Blocked/Done here.)
+/// still Runnable/Blocked/Collective/Done here.)
 #[derive(Clone, Debug)]
 enum NodeState {
     /// Parked but dispatchable: runs when its `(vtime, rank)` key is the
@@ -75,12 +103,53 @@ enum NodeState {
     Running,
     /// Parked in a blocking receive with no matching message delivered.
     Blocked { on: BlockedOn, vtime: f64 },
+    /// Parked at the rendezvous of collective instance `key`, waiting for
+    /// the members that have not arrived.
+    Collective { key: Tag, vtime: f64 },
     /// The node program returned — or panicked (see `abort`).
     Done,
 }
 
+/// One collective instance's rendezvous: the members that have arrived.
+struct Rendezvous {
+    /// Member ranks by participant index (`None`: the world, index = rank).
+    members: Option<Vec<usize>>,
+    /// Deposits by participant index.
+    calls: Vec<Option<RdCall>>,
+    arrived: usize,
+}
+
+impl Rendezvous {
+    fn rank_of(&self, index: usize) -> usize {
+        self.members.as_ref().map_or(index, |m| m[index])
+    }
+
+    /// The first arrival's tag names the instance (op, communicator, seq).
+    fn describe(&self) -> String {
+        let tag = self
+            .calls
+            .iter()
+            .flatten()
+            .next()
+            .expect("a rendezvous exists only once a member arrived")
+            .tag;
+        describe_instance(tag)
+    }
+
+    /// Ranks of the members that have not arrived, ascending.
+    fn missing(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.calls.len())
+            .filter(|&i| self.calls[i].is_none())
+            .map(|i| self.rank_of(i))
+    }
+}
+
 struct SchedInner {
     state: Vec<NodeState>,
+    /// Open collective rendezvous, keyed by collective instance.
+    rendezvous: HashMap<Tag, Rendezvous>,
+    /// Per rank: the plan a completed rendezvous left for its member.
+    plans: Vec<Option<RdPlan>>,
     /// First rank whose program panicked; set before waking everyone so
     /// woken peers can name the culprit.
     abort: Option<usize>,
@@ -102,6 +171,8 @@ impl Scheduler {
         Scheduler {
             inner: Mutex::new(SchedInner {
                 state: vec![NodeState::Runnable(0.0); n],
+                rendezvous: HashMap::new(),
+                plans: (0..n).map(|_| None).collect(),
                 abort: None,
                 deadlock: None,
             }),
@@ -120,7 +191,7 @@ impl Scheduler {
     /// Node-thread entry point: park until dispatched for the first time.
     pub(crate) fn wait_for_baton(&self, rank: usize) {
         let g = self.lock();
-        self.wait_until_running(rank, g);
+        drop(self.wait_until_running(rank, g));
     }
 
     /// Block `rank` in a receive: record what it waits for, hand the baton
@@ -130,7 +201,7 @@ impl Scheduler {
         let mut g = self.lock();
         g.state[rank] = NodeState::Blocked { on, vtime };
         self.dispatch_locked(&mut g);
-        self.wait_until_running(rank, g);
+        drop(self.wait_until_running(rank, g));
     }
 
     /// A message `(src, tag)` was pushed into `dest`'s channel. If `dest`
@@ -143,6 +214,79 @@ impl Scheduler {
                 g.state[dest] = NodeState::Runnable(vtime);
             }
         }
+    }
+
+    /// `rank` reaches a recursive-doubling collective: deposit `call` at
+    /// the instance's rendezvous (`members` maps participant indices to
+    /// ranks, `None` for the world). Every member but the last parks until
+    /// the last arrival completes the collective; the last one completes
+    /// it for everybody and keeps the baton. Returns this member's plan
+    /// and whether it parked.
+    ///
+    /// # Panics
+    /// Panics with a `[collective-mismatch]` report when the members
+    /// disagree on the operation, operator, size or buffer length.
+    pub(crate) fn rendezvous(
+        &self,
+        rank: usize,
+        members: Option<&[usize]>,
+        call: RdCall,
+    ) -> (RdPlan, bool) {
+        let key = call.tag.instance();
+        let vtime = call.clock;
+        let mut g = self.lock();
+        let rdv = g.rendezvous.entry(key).or_insert_with(|| Rendezvous {
+            members: members.map(<[usize]>::to_vec),
+            calls: (0..call.n).map(|_| None).collect(),
+            arrived: 0,
+        });
+        let index = call.index;
+        if rdv.calls.get(index).is_none_or(Option::is_some) {
+            let report = format!(
+                "[collective-mismatch] {}: rank {rank} arrived as participant {index} of a \
+                 {}-member instance that already has it",
+                describe_instance(call.tag),
+                rdv.calls.len()
+            );
+            drop(g);
+            panic!("{report}");
+        }
+        rdv.calls[index] = Some(call);
+        rdv.arrived += 1;
+        if rdv.arrived < rdv.calls.len() {
+            g.state[rank] = NodeState::Collective { key, vtime };
+            self.dispatch_locked(&mut g);
+            let mut g = self.wait_until_running(rank, g);
+            let plan = g.plans[rank]
+                .take()
+                .expect("a woken rendezvous member finds its plan");
+            return (plan, true);
+        }
+
+        // The last arrival. Complete outside the lock: a member mismatch
+        // panics here, and must not poison the scheduler for the teardown.
+        let mut rdv = g.rendezvous.remove(&key).expect("the rendezvous is open");
+        drop(g);
+        let calls = std::mem::take(&mut rdv.calls)
+            .into_iter()
+            .map(|c| c.expect("every member arrived"))
+            .collect();
+        let plans =
+            complete(calls, rdv.members.as_deref()).unwrap_or_else(|report| panic!("{report}"));
+        let mut mine = None;
+        let mut g = self.lock();
+        for (i, plan) in plans.into_iter().enumerate() {
+            let r = rdv.rank_of(i);
+            if r == rank {
+                mine = Some(plan);
+                continue;
+            }
+            if let NodeState::Collective { vtime, .. } = g.state[r] {
+                g.state[r] = NodeState::Runnable(vtime);
+            }
+            g.plans[r] = Some(plan);
+        }
+        (mine.expect("the last arrival is a member"), false)
     }
 
     /// `rank`'s program returned cleanly; hand the baton on.
@@ -170,13 +314,17 @@ impl Scheduler {
         self.inner.lock().expect("scheduler lock poisoned")
     }
 
-    /// Park on this rank's condvar until dispatched. Panics (inside the
-    /// node's `catch_unwind`) when the cluster aborted or deadlocked
-    /// while parked.
-    fn wait_until_running(&self, rank: usize, mut g: MutexGuard<'_, SchedInner>) {
+    /// Park on this rank's condvar until dispatched; returns the lock.
+    /// Panics (inside the node's `catch_unwind`) when the cluster aborted
+    /// or deadlocked while parked.
+    fn wait_until_running<'a>(
+        &'a self,
+        rank: usize,
+        mut g: MutexGuard<'a, SchedInner>,
+    ) -> MutexGuard<'a, SchedInner> {
         loop {
             if matches!(g.state[rank], NodeState::Running) {
-                return;
+                return g;
             }
             if let Some(report) = &g.deadlock {
                 let report = report.clone();
@@ -192,7 +340,7 @@ impl Scheduler {
     }
 
     /// Hand the baton to the runnable node with the minimum
-    /// `(vtime, rank)` key. If none is runnable but blocked nodes remain,
+    /// `(vtime, rank)` key. If none is runnable but parked nodes remain,
     /// the cluster is deadlocked: publish the report and wake everyone.
     fn dispatch_locked(&self, inner: &mut SchedInner) {
         let mut best: Option<(f64, usize)> = None;
@@ -212,12 +360,9 @@ impl Scheduler {
                 self.cvs[rank].notify_one();
             }
             None => {
-                let any_blocked = inner
-                    .state
-                    .iter()
-                    .any(|s| matches!(s, NodeState::Blocked { .. }));
-                if any_blocked && inner.abort.is_none() && inner.deadlock.is_none() {
-                    inner.deadlock = Some(deadlock_report(&inner.state));
+                let any_parked = inner.state.iter().any(NodeState::is_parked);
+                if any_parked && inner.abort.is_none() && inner.deadlock.is_none() {
+                    inner.deadlock = Some(deadlock_report(&inner.state, &inner.rendezvous));
                     for cv in &self.cvs {
                         cv.notify_all();
                     }
@@ -227,81 +372,135 @@ impl Scheduler {
     }
 }
 
+impl NodeState {
+    /// Parked waiting for another node (not merely awaiting dispatch).
+    fn is_parked(&self) -> bool {
+        matches!(
+            self,
+            NodeState::Blocked { .. } | NodeState::Collective { .. }
+        )
+    }
+}
+
 /// Spell out why the cluster can make no progress. Reached only when no
-/// node is runnable and at least one is blocked — every live node is
-/// blocked, so the wait-for graph has either a cycle, a chain into a
-/// terminated rank, or an any-source wait that nobody can satisfy.
-fn deadlock_report(state: &[NodeState]) -> String {
-    let blocked_on = |r: usize| match &state[r] {
-        NodeState::Blocked { on, .. } => Some(*on),
-        _ => None,
+/// node is runnable and at least one is parked — every live node is
+/// parked, so the wait-for graph has either a cycle, a chain into a
+/// terminated rank, or an any-source wait that nobody can satisfy. A
+/// receive waits for its source; a collective waits for its lowest
+/// member that has not arrived. Every open collective is listed after the
+/// chain, with all of its missing members.
+fn deadlock_report(state: &[NodeState], rendezvous: &HashMap<Tag, Rendezvous>) -> String {
+    let describe = |r: usize| match &state[r] {
+        NodeState::Blocked { on, .. } => format!("rank {} blocked in {}", r, on.describe()),
+        NodeState::Collective { key, .. } => {
+            format!("rank {} waiting in {}", r, rendezvous[key].describe())
+        }
+        NodeState::Done => format!("rank {r} (terminated)"),
+        _ => format!("rank {r} (running)"),
     };
-    let describe = |r: usize| match blocked_on(r) {
-        Some(b) => format!("rank {} blocked in {}", r, b.describe()),
-        None => format!("rank {r} (running)"),
+    // `None` ⇒ an any-source receive.
+    let waits_for = |r: usize| match &state[r] {
+        NodeState::Blocked { on, .. } => on.src,
+        NodeState::Collective { key, .. } => rendezvous[key].missing().next(),
+        _ => unreachable!("only parked ranks join a wait chain"),
+    };
+    let join = |ranks: &[usize]| {
+        ranks
+            .iter()
+            .map(|&r| describe(r))
+            .collect::<Vec<_>>()
+            .join(" -> ")
     };
     let start = state
         .iter()
-        .position(|s| matches!(s, NodeState::Blocked { .. }))
-        .expect("deadlock report needs a blocked node");
+        .position(NodeState::is_parked)
+        .expect("deadlock report needs a parked node");
     let mut chain = vec![start];
-    loop {
+    let mut out = loop {
         let cur = *chain.last().expect("chain non-empty");
-        let on = blocked_on(cur).expect("chain members are blocked");
-        let Some(src) = on.src else {
+        let Some(next) = waits_for(cur) else {
             // An any-source wait that no live node can satisfy: report
-            // the whole (fully blocked) cluster.
-            let mut out =
-                String::from("[deadlock] every live rank is blocked with no messages in flight: ");
-            let mut first = true;
-            for r in 0..state.len() {
-                if matches!(state[r], NodeState::Done) {
-                    continue;
-                }
-                if !first {
-                    out.push_str("; ");
-                }
-                first = false;
-                out.push_str(&describe(r));
-            }
-            return out;
+            // the whole (fully parked) cluster.
+            let live: Vec<usize> = (0..state.len())
+                .filter(|&r| !matches!(state[r], NodeState::Done))
+                .collect();
+            break format!(
+                "[deadlock] every live rank is blocked with no messages in flight: {}",
+                live.iter()
+                    .map(|&r| describe(r))
+                    .collect::<Vec<_>>()
+                    .join("; ")
+            );
         };
-        if matches!(state[src], NodeState::Done) {
-            let mut out = String::from("[deadlock] wait chain ends at a terminated rank: ");
-            for (i, &r) in chain.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(" -> ");
-                }
-                out.push_str(&describe(r));
-            }
-            out.push_str(&format!(" -> rank {src} (terminated)"));
-            return out;
+        if matches!(state[next], NodeState::Done) {
+            break format!(
+                "[deadlock] wait chain ends at a terminated rank: {} -> rank {next} (terminated)",
+                join(&chain)
+            );
         }
-        if let Some(pos) = chain.iter().position(|&r| r == src) {
-            let cycle = &chain[pos..];
-            let mut out = String::from("[deadlock] wait-for cycle, no messages in flight: ");
-            for (i, &r) in cycle.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(" -> ");
-                }
-                out.push_str(&describe(r));
-            }
-            out.push_str(&format!(" -> rank {}", cycle[0]));
-            return out;
+        if let Some(pos) = chain.iter().position(|&r| r == next) {
+            break format!(
+                "[deadlock] wait-for cycle, no messages in flight: {} -> rank {}",
+                join(&chain[pos..]),
+                chain[pos]
+            );
         }
-        chain.push(src);
+        chain.push(next);
+    };
+    let mut open: Vec<(&Tag, &Rendezvous)> = rendezvous.iter().collect();
+    open.sort_by_key(|&(key, _)| *key);
+    for (_, rdv) in open {
+        let missing: Vec<String> = rdv.missing().map(describe).collect();
+        out.push_str(&format!(
+            "; collective {} has {} of {} members: never arrived: {}",
+            rdv.describe(),
+            rdv.arrived,
+            rdv.calls.len(),
+            missing.join(", ")
+        ));
     }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comm::ReduceOp;
+    use crate::tag::op;
 
     fn blocked(src: Option<usize>, tag: Tag) -> NodeState {
         NodeState::Blocked {
             on: BlockedOn { src, tag },
             vtime: 0.0,
         }
+    }
+
+    fn no_rendezvous() -> HashMap<Tag, Rendezvous> {
+        HashMap::new()
+    }
+
+    /// An open world all-reduce rendezvous of `n` members at seq 0 that
+    /// `arrived` have reached.
+    fn open_allreduce(n: usize, arrived: &[usize]) -> (Tag, HashMap<Tag, Rendezvous>) {
+        let tag = Tag::coll(op::ALLREDUCE, 0);
+        let mut calls: Vec<Option<RdCall>> = (0..n).map(|_| None).collect();
+        for &i in arrived {
+            calls[i] = Some(RdCall {
+                index: i,
+                tag,
+                opr: Some(ReduceOp::Sum),
+                n,
+                clock: 0.0,
+                msg_cost: 1.0,
+                buf: vec![1.0],
+            });
+        }
+        let rdv = Rendezvous {
+            members: None,
+            calls,
+            arrived: arrived.len(),
+        };
+        (tag.instance(), HashMap::from([(tag.instance(), rdv)]))
     }
 
     #[test]
@@ -327,7 +526,7 @@ mod tests {
             blocked(Some(1), Tag::user(1)),
             blocked(Some(0), Tag::user(2)),
         ];
-        let r = deadlock_report(&state);
+        let r = deadlock_report(&state, &no_rendezvous());
         assert!(r.contains("[deadlock] wait-for cycle"), "{r}");
         assert!(
             r.contains("rank 0 blocked in recv(src 1, tag user(1))"),
@@ -343,7 +542,7 @@ mod tests {
     #[test]
     fn report_names_terminated_targets() {
         let state = vec![blocked(Some(1), Tag::user(1)), NodeState::Done];
-        let r = deadlock_report(&state);
+        let r = deadlock_report(&state, &no_rendezvous());
         assert!(r.contains("wait chain ends at a terminated rank"), "{r}");
         assert!(r.ends_with("-> rank 1 (terminated)"), "{r}");
     }
@@ -351,8 +550,37 @@ mod tests {
     #[test]
     fn report_names_starved_any_source_waits() {
         let state = vec![blocked(None, Tag::user(4)), NodeState::Done];
-        let r = deadlock_report(&state);
+        let r = deadlock_report(&state, &no_rendezvous());
         assert!(r.contains("every live rank is blocked"), "{r}");
         assert!(r.contains("recv_any(tag user(4))"), "{r}");
+    }
+
+    #[test]
+    fn report_names_collectives_and_their_missing_members() {
+        // Ranks 0 and 2 wait in an all-reduce; rank 1 terminated, rank 3
+        // waits for rank 1 in a receive.
+        let (key, rdv) = open_allreduce(4, &[0, 2]);
+        let parked = NodeState::Collective { key, vtime: 0.0 };
+        let state = vec![
+            parked.clone(),
+            NodeState::Done,
+            parked,
+            blocked(Some(1), Tag::user(3)),
+        ];
+        let r = deadlock_report(&state, &rdv);
+        assert!(
+            r.starts_with(
+                "[deadlock] wait chain ends at a terminated rank: rank 0 waiting in \
+                 allreduce seq 0 on world -> rank 1 (terminated)"
+            ),
+            "{r}"
+        );
+        assert!(
+            r.contains(
+                "collective allreduce seq 0 on world has 2 of 4 members: never arrived: \
+                 rank 1 (terminated), rank 3 blocked in recv(src 1, tag user(3))"
+            ),
+            "{r}"
+        );
     }
 }

@@ -178,6 +178,11 @@ pub struct CommStats {
     /// Total communication rounds across those all-reduce calls (the
     /// critical-path depth: ⌈log₂N⌉, +2 on non-power-of-two sizes).
     allreduce_rounds: u64,
+    /// Times the node parked on the scheduler: receives that found no
+    /// matching message, and collective rendezvous reached before the
+    /// last member. Deterministic, and a proxy for host cost — every park
+    /// is one baton handoff.
+    parks: u64,
     /// Virtual seconds the node clock advanced *inside blocking sends*
     /// (`λ + s·µ` per message — the sender is busy for the transfer).
     send_vtime: [f64; NPHASES],
@@ -218,6 +223,11 @@ impl CommStats {
     pub fn record_allreduce(&mut self, rounds: usize) {
         self.allreduces += 1;
         self.allreduce_rounds += rounds as u64;
+    }
+
+    /// Record `n` scheduler parks.
+    pub fn record_parks(&mut self, n: u64) {
+        self.parks += n;
     }
 
     /// Record virtual time spent inside a blocking send in `phase`.
@@ -283,6 +293,11 @@ impl CommStats {
     /// [`CommStats::allreduces`] for the per-call critical-path depth).
     pub fn allreduce_rounds(&self) -> u64 {
         self.allreduce_rounds
+    }
+
+    /// Times this node parked on the scheduler (see the field docs).
+    pub fn parks(&self) -> u64 {
+        self.parks
     }
 
     /// Virtual time spent inside blocking sends in `phase`.
@@ -356,6 +371,7 @@ impl CommStats {
         self.extra_latency_msgs += other.extra_latency_msgs;
         self.allreduces += other.allreduces;
         self.allreduce_rounds += other.allreduce_rounds;
+        self.parks += other.parks;
     }
 
     /// Reset all counters (between timed experiment sections).
@@ -389,9 +405,11 @@ mod tests {
         let mut b = CommStats::new();
         b.record_send(CommPhase::Recovery, 5);
         b.record_extra_latency();
+        b.record_parks(2);
         a.merge(&b);
         assert_eq!(a.elems(CommPhase::Recovery), 15);
         assert_eq!(a.extra_latency_msgs(), 1);
+        assert_eq!(a.parks(), 2);
     }
 
     #[test]

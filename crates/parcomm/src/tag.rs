@@ -38,22 +38,50 @@ impl Tag {
         Tag((KIND_GROUP << 62) | ((gid as u64) << 30) | ((op as u64) << 22) | seq as u64)
     }
 
+    /// The collective instance this tag belongs to: the tag with its
+    /// operation field cleared, leaving kind, communicator and sequence
+    /// number. Every collective call consumes its own sequence number, so
+    /// the instance is unique; members that disagree on the operation
+    /// still meet under it, and the disagreement is reported instead of
+    /// deadlocking.
+    pub(crate) fn instance(self) -> Tag {
+        match self.0 >> 62 {
+            KIND_COLL => Tag(self.0 & !(0xFF << 48)),
+            KIND_GROUP => Tag(self.0 & !(0xFF << 22)),
+            _ => self,
+        }
+    }
+
+    /// The collective operation of a collective or group tag (a
+    /// [`op`] constant).
+    pub(crate) fn op(self) -> u8 {
+        match self.0 >> 62 {
+            KIND_COLL => ((self.0 >> 48) & 0xFF) as u8,
+            KIND_GROUP => ((self.0 >> 22) & 0xFF) as u8,
+            _ => 0,
+        }
+    }
+
+    /// The communicator scope (`None` for the world, `Some(gid)` for a
+    /// group) and sequence number of a collective or group tag.
+    pub(crate) fn scope_seq(self) -> (Option<u32>, u64) {
+        match self.0 >> 62 {
+            KIND_GROUP => (
+                Some(((self.0 >> 30) & 0xFFFF_FFFF) as u32),
+                self.0 & ((1 << 22) - 1),
+            ),
+            _ => (None, self.0 & ((1 << 48) - 1)),
+        }
+    }
+
     /// Human-readable decoding for diagnostics ("user(7)",
     /// "coll(allreduce, seq 3)", "group(gid 0x2a, gather, seq 1)", …).
     pub fn describe(&self) -> String {
-        match self.0 >> 62 {
-            KIND_USER => format!("user({})", self.0 & 0xFFFF_FFFF),
-            KIND_COLL => format!(
-                "coll({}, seq {})",
-                op::name(((self.0 >> 48) & 0xFF) as u8),
-                self.0 & ((1 << 48) - 1)
-            ),
-            KIND_GROUP => format!(
-                "group(gid {:#x}, {}, seq {})",
-                (self.0 >> 30) & 0xFFFF_FFFF,
-                op::name(((self.0 >> 22) & 0xFF) as u8),
-                self.0 & ((1 << 22) - 1)
-            ),
+        let name = op::name(self.op());
+        match (self.0 >> 62, self.scope_seq()) {
+            (KIND_USER, _) => format!("user({})", self.0 & 0xFFFF_FFFF),
+            (KIND_COLL, (_, seq)) => format!("coll({name}, seq {seq})"),
+            (KIND_GROUP, (Some(gid), seq)) => format!("group(gid {gid:#x}, {name}, seq {seq})"),
             _ => format!("invalid({:#x})", self.0),
         }
     }
@@ -75,7 +103,8 @@ pub mod op {
     pub const SCATTER: u8 = 6;
     /// Recursive-doubling all-reduce (one tag covers all of its rounds:
     /// within one call every ordered pair of ranks exchanges at most one
-    /// message, so rounds cannot be confused).
+    /// message, so rounds cannot be confused in the per-`(peer, tag)`
+    /// accounting and trace sequence numbers).
     pub const ALLREDUCE: u8 = 7;
 
     /// The operation's name, for diagnostics.
@@ -117,6 +146,20 @@ mod tests {
     #[test]
     fn group_ids_scope_tags() {
         assert_ne!(Tag::group(1, op::GATHER, 5), Tag::group(2, op::GATHER, 5));
+    }
+
+    #[test]
+    fn instance_keeps_scope_and_seq_but_not_op() {
+        let a = Tag::coll(op::ALLREDUCE, 9);
+        let b = Tag::coll(op::BARRIER, 9);
+        assert_eq!(a.instance(), b.instance());
+        assert_ne!(a.instance(), Tag::coll(op::ALLREDUCE, 10).instance());
+        assert_eq!((a.op(), a.scope_seq()), (op::ALLREDUCE, (None, 9)));
+        let g = Tag::group(0x2A, op::ALLREDUCE, 3);
+        assert_eq!(g.instance(), Tag::group(0x2A, op::BARRIER, 3).instance());
+        assert_ne!(g.instance(), Tag::group(0x2B, op::ALLREDUCE, 3).instance());
+        assert_ne!(g.instance(), Tag::coll(op::ALLREDUCE, 3).instance());
+        assert_eq!((g.op(), g.scope_seq()), (op::ALLREDUCE, (Some(0x2A), 3)));
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Property-based tests: every collective must agree with its sequential
 //! reference for arbitrary inputs and cluster sizes.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use proptest::prelude::*;
 
 use parcomm::comm::ReduceOp;
@@ -469,4 +471,95 @@ fn collectives_with_staggered_entry_clocks_are_pinned_bitwise() {
         assert_eq!((*c, *n), (pc, pn), "pin table:\n{table}");
         assert_eq!(*d, pd, "{c} at N = {n} moved; pin table:\n{table}");
     }
+}
+
+// ---- Member agreement and rendezvous parks ---------------------------------
+
+/// Run a cluster program that must panic; return the panic text.
+fn panic_message<F>(n: usize, program: F) -> String
+where
+    F: Fn(&mut parcomm::NodeCtx) + Sync,
+{
+    let err = catch_unwind(AssertUnwindSafe(|| {
+        Cluster::run(ClusterConfig::new(n), &program);
+    }))
+    .expect_err("the program must panic");
+    err.downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_else(|| "<non-string panic>".to_string())
+}
+
+#[test]
+fn length_mismatched_allreduce_panics_in_every_build() {
+    // A zip-based combine would silently truncate to the shorter buffer;
+    // the rendezvous refuses to complete instead.
+    let msg = panic_message(2, |ctx| {
+        let len = 1 + ctx.rank();
+        ctx.allreduce_vec(ReduceOp::Sum, vec![1.0; len]);
+    });
+    assert!(msg.contains("[collective-mismatch]"), "{msg}");
+    assert!(msg.contains("seq 0"), "{msg}");
+    assert!(msg.contains("len 1"), "{msg}");
+    assert!(msg.contains("len 2"), "{msg}");
+}
+
+#[test]
+fn mismatched_operators_and_kinds_panic_in_every_build() {
+    let msg = panic_message(3, |ctx| {
+        if ctx.rank() == 1 {
+            ctx.allreduce_max(1.0);
+        } else {
+            ctx.allreduce_sum(1.0);
+        }
+    });
+    assert!(msg.contains("[collective-mismatch]"), "{msg}");
+    assert!(msg.contains("Sum"), "{msg}");
+    assert!(msg.contains("Max"), "{msg}");
+
+    // A barrier and an all-reduce at the same sequence number meet at one
+    // rendezvous, so the disagreement is reported rather than deadlocking.
+    let msg = panic_message(2, |ctx| {
+        if ctx.rank() == 0 {
+            ctx.barrier();
+        } else {
+            ctx.allreduce_sum(1.0);
+        }
+    });
+    assert!(msg.contains("[collective-mismatch]"), "{msg}");
+    assert!(msg.contains("barrier"), "{msg}");
+    assert!(msg.contains("allreduce(Sum)"), "{msg}");
+}
+
+#[test]
+fn group_length_mismatch_names_the_group() {
+    let msg = panic_message(3, |ctx| {
+        if ctx.rank() != 1 {
+            let mut g = ctx.group(&[0, 2]);
+            let len = 1 + ctx.rank();
+            g.allreduce_vec(ctx, ReduceOp::Sum, vec![1.0; len]);
+        }
+    });
+    assert!(msg.contains("[collective-mismatch] group 0x"), "{msg}");
+    assert!(msg.contains("len 1"), "{msg}");
+    assert!(msg.contains("len 3"), "{msg}");
+}
+
+#[test]
+fn one_world_allreduce_parks_each_member_at_most_once() {
+    // A recursive-doubling all-reduce is one rendezvous: every member but
+    // the last parks exactly once, and the last completes it without
+    // parking. A fallback to message passing would park members once per
+    // round.
+    let n = 512;
+    let out = Cluster::run(ClusterConfig::new(n), |ctx| {
+        let s = ctx.allreduce_sum(1.0);
+        (s, ctx.stats().parks())
+    });
+    assert!(out.iter().all(|&(s, _)| s == n as f64));
+    assert!(
+        out.iter().all(|&(_, parks)| parks <= 1),
+        "a member parked twice"
+    );
+    let total: u64 = out.iter().map(|&(_, parks)| parks).sum();
+    assert_eq!(total, n as u64 - 1);
 }
