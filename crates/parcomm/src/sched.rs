@@ -243,8 +243,8 @@ impl Scheduler {
         let index = call.index;
         if rdv.calls.get(index).is_none_or(Option::is_some) {
             let report = format!(
-                "[collective-mismatch] {}: rank {rank} arrived as participant {index} of a \
-                 {}-member instance that already has it",
+                "[collective-mismatch] {}: rank {rank} cannot join as participant {index} \
+                 of {}: the slot is taken or out of range",
                 describe_instance(call.tag),
                 rdv.calls.len()
             );
