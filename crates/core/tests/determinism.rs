@@ -25,6 +25,19 @@ fn bits(v: f64) -> u64 {
     v.to_bits()
 }
 
+/// FNV-1a over the bytes of the serialized trace of the solve below:
+/// pins every span name, tag and virtual timestamp of the world and the
+/// reconstructors' group collectives.
+#[cfg(feature = "trace")]
+const PINNED_TRACE_FNV1A: u64 = 0xafa9_1222_3394_dadd;
+
+#[cfg(feature = "trace")]
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[test]
 fn failure_recovery_solve_is_bitwise_reproducible() {
     let a = poisson2d(13, 13);
@@ -111,6 +124,12 @@ fn failure_recovery_solve_is_bitwise_reproducible() {
 
     // Under tracing, the full serialized span trace — every event, in
     // order, with its virtual timestamp — must be byte-identical.
+    // It is pinned too, so a change of span names, tags or collective
+    // structure cannot pass as long as it is reproducible.
     #[cfg(feature = "trace")]
-    assert_eq!(r1.trace.chrome_trace_json(), r2.trace.chrome_trace_json());
+    {
+        let json = r1.trace.chrome_trace_json();
+        assert_eq!(json, r2.trace.chrome_trace_json());
+        assert_eq!(fnv1a(&json), PINNED_TRACE_FNV1A, "serialized trace moved");
+    }
 }

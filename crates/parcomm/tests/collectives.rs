@@ -280,6 +280,8 @@ fn split_phase_send_accounting() {
 // wait / hidden virtual time per phase, all-reduce calls and rounds).
 // The digests were captured from the message-passing implementation of
 // the schedule; any implementation of it must reproduce them exactly.
+// The `world_group_allreduce` rows repeat the `allreduce_sum` digests: a
+// group over all ranks reducing in the Reduction phase is the world.
 
 /// FNV-1a over 64-bit words.
 struct Digest(u64);
@@ -359,6 +361,17 @@ fn run_pin(n: usize, case: &str) -> u64 {
                 // Compute before wait: low ranks hide more of the flight.
                 ctx.clock_mut().advance_flops((n - r) * 23_000);
                 req.wait(ctx)
+            }
+            // The world is the group of all ranks: a group over `0..n`
+            // all-reducing in the Reduction phase is the world all-reduce.
+            "world_group_allreduce" => {
+                let all: Vec<usize> = (0..n).collect();
+                ctx.group(&all).allreduce_vec_phase(
+                    ctx,
+                    ReduceOp::Sum,
+                    pin_input(r),
+                    CommPhase::Reduction,
+                )
             }
             "group_allreduce" | "group_iallreduce" | "group_barrier" => {
                 let members = pin_members(n);
@@ -443,6 +456,12 @@ const PINS: &[(&str, usize, u64)] = &[
     ("group_barrier", 8, 0xd139a0cda90119dd),
     ("group_barrier", 13, 0x06185e8185f09305),
     ("group_barrier", 64, 0x20462b29c6d21422),
+    ("world_group_allreduce", 2, 0x9c093b147e3519a1),
+    ("world_group_allreduce", 3, 0x86d42433517353e0),
+    ("world_group_allreduce", 5, 0x5d2562a32ce82a2f),
+    ("world_group_allreduce", 8, 0x3a8c4d840983a69e),
+    ("world_group_allreduce", 13, 0x887758b30d1b1938),
+    ("world_group_allreduce", 64, 0xb2ccc7a987d9a4c1),
 ];
 
 #[test]
@@ -455,6 +474,7 @@ fn collectives_with_staggered_entry_clocks_are_pinned_bitwise() {
         "group_allreduce",
         "group_iallreduce",
         "group_barrier",
+        "world_group_allreduce",
     ];
     let mut got = Vec::new();
     for case in cases {

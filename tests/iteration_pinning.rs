@@ -268,3 +268,159 @@ fn resilient_pcg_iteration_count_matches_reference() {
     assert!(failing.converged);
     assert_eq!(failing.iterations, reference.iterations);
 }
+
+// ---------------------------------------------------------------------
+// Shrink-path trajectory pins.
+//
+// Shrink is the one path where the solver's own reductions and the
+// scatter-plan rebuilds run on a sub-communicator (the survivors), so it
+// pins everything the communicator can move: the trajectory, both
+// virtual clocks, which ranks retired, and the cluster's traffic per
+// phase. Captured before the world communicator became the group of all
+// ranks; that refactor must reproduce every value bitwise.
+// ---------------------------------------------------------------------
+
+/// Everything one Shrink scenario pins.
+#[derive(Debug, PartialEq)]
+struct ShrinkPin {
+    iterations: usize,
+    solver_residual: u64,
+    vtime: u64,
+    vtime_recovery: u64,
+    retired: Vec<usize>,
+    /// Cluster-wide `(messages, elements)` per phase, in `CommPhase::ALL`
+    /// order.
+    traffic: Vec<(u64, u64)>,
+}
+
+fn shrink_pin(r: &esr_suite::core::ExperimentResult) -> ShrinkPin {
+    use esr_suite::parcomm::CommPhase;
+    assert!(r.converged);
+    ShrinkPin {
+        iterations: r.iterations,
+        solver_residual: r.solver_residual.to_bits(),
+        vtime: r.vtime.to_bits(),
+        vtime_recovery: r.vtime_recovery.to_bits(),
+        retired: r
+            .per_node
+            .iter()
+            .filter(|o| o.retired)
+            .map(|o| o.rank)
+            .collect(),
+        traffic: CommPhase::ALL
+            .iter()
+            .map(|&p| (r.stats.msgs(p), r.stats.elems(p)))
+            .collect(),
+    }
+}
+
+/// FNV-1a over the bytes of a serialized trace.
+#[cfg(feature = "trace")]
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn shrink_recovery_trajectories_are_pinned_bitwise() {
+    use esr_suite::core::{run_checkpoint_restart, CrConfig, RecoveryPolicy};
+    let problem = Problem::with_ones_solution(poisson2d(14, 14));
+    let cfg = SolverConfig::resilient_with_policy(2, RecoveryPolicy::Shrink);
+    let script = || FailureScript::simultaneous(6, 2, 2, 7);
+
+    let pcg = run_pcg(&problem, 7, &cfg, CostModel::default(), script()).unwrap();
+    let pipecg = run_pipecg(&problem, 7, &cfg, CostModel::default(), script()).unwrap();
+    let bicgstab = run_bicgstab(
+        &problem,
+        7,
+        &cfg,
+        CostModel::default(),
+        FailureScript::simultaneous(4, 2, 2, 7),
+    )
+    .unwrap();
+    let cr = CrConfig::default().with_interval(5).with_copies(2);
+    let checkpoint =
+        run_checkpoint_restart(&problem, 7, &cfg, &cr, CostModel::default(), script()).unwrap();
+
+    let got = [
+        ("ESR × PCG", shrink_pin(&pcg)),
+        ("ESR × PipeCG", shrink_pin(&pipecg)),
+        ("ESR × BiCGSTAB", shrink_pin(&bicgstab)),
+        ("Checkpoint × PCG", shrink_pin(&checkpoint)),
+    ];
+    let want = [
+        ShrinkPin {
+            iterations: 28,
+            solver_residual: 0x3e6b_7ffe_f5aa_c021,
+            vtime: 0x3f34_9e5c_46de_d3f8,
+            vtime_recovery: 0x3ef4_d599_06f4_2654,
+            retired: vec![2, 3],
+            traffic: vec![
+                (0, 0),
+                (318, 3640),
+                (0, 7728),
+                (632, 950),
+                (64, 476),
+                (0, 0),
+            ],
+        },
+        ShrinkPin {
+            iterations: 26,
+            solver_residual: 0x3e68_adfa_dc6a_fb8f,
+            vtime: 0x3f24_adb8_bfb7_8107,
+            vtime_recovery: 0x3f04_933d_9290_4382,
+            retired: vec![2, 3],
+            traffic: vec![
+                (0, 0),
+                (332, 3808),
+                (0, 21672),
+                (322, 938),
+                (88, 560),
+                (0, 0),
+            ],
+        },
+        ShrinkPin {
+            iterations: 18,
+            solver_residual: 0x3e00_47dd_d008_8b30,
+            vtime: 0x3f35_4fd6_28ac_76bd,
+            vtime_recovery: 0x3efa_2e30_6848_55dc,
+            retired: vec![2, 3],
+            traffic: vec![
+                (0, 0),
+                (410, 4704),
+                (0, 9800),
+                (606, 1012),
+                (72, 504),
+                (0, 0),
+            ],
+        },
+        ShrinkPin {
+            iterations: 32,
+            solver_residual: 0x3e66_4e0c_63c9_4431,
+            vtime: 0x3f36_bacd_3308_9cda,
+            vtime_recovery: 0x3ee5_455f_d138_fc98,
+            retired: vec![2, 3],
+            traffic: vec![
+                (0, 0),
+                (300, 4200),
+                (88, 12720),
+                (722, 1090),
+                (31, 236),
+                (0, 0),
+            ],
+        },
+    ];
+    for ((label, got), want) in got.iter().zip(&want) {
+        assert_eq!(got, want, "{label}: Shrink trajectory moved");
+    }
+
+    // Under tracing, the Shrink PipeCG run's whole serialized trace: the
+    // survivors' non-blocking group reductions, every span name and tag.
+    #[cfg(feature = "trace")]
+    assert_eq!(
+        fnv1a(&pipecg.trace.chrome_trace_json()),
+        0x4a78_54b6_a18f_6fe3,
+        "Shrink PipeCG trace moved"
+    );
+}
