@@ -39,7 +39,7 @@ use std::sync::Arc;
 
 use parcomm::comm::ReduceOp;
 use parcomm::fault::poison;
-use parcomm::{FailAt, NodeCtx};
+use parcomm::{CommPhase, FailAt, NodeCtx};
 use sparsemat::vecops::{axpy, dot};
 use sparsemat::Csr;
 
@@ -349,8 +349,9 @@ pub fn esr_bicgstab_node(
     let mut recovery_seq: u32 = 0;
     let mut recovery_timelines: Vec<RecoveryTimeline> = Vec::new();
     let resilient = cfg.resilience.is_some();
-    let mut ckpt =
-        cr.map(|c| crate::retention::CheckpointStore::new(c, &layout.members, layout.my_slot));
+    let mut ckpt = cr.map(|c| {
+        crate::retention::CheckpointStore::new(c, layout.comm.members(), layout.comm.index())
+    });
 
     while !converged && iterations < cfg.max_iter {
         let j = iterations as u64;
@@ -410,7 +411,9 @@ pub fn esr_bicgstab_node(
         }
         layout.lm.spmv(&phat, &ghosts, &mut v);
         ctx.clock_mut().advance_flops(layout.lm.spmv_flops());
-        let rhat0_v = layout.allreduce_sum(ctx, dot(&rhat0, &v));
+        let rhat0_v = layout
+            .comm
+            .allreduce_sum(ctx, dot(&rhat0, &v), CommPhase::Reduction);
         if rhat0_v.abs() < f64::MIN_POSITIVE {
             panic!("rank {rank}: BiCGSTAB breakdown ((r̂0,v) = 0) at iteration {j}");
         }
@@ -513,7 +516,12 @@ pub fn esr_bicgstab_node(
         // t = A ŝ
         layout.lm.spmv(&shat, &ghosts, &mut t);
         ctx.clock_mut().advance_flops(layout.lm.spmv_flops());
-        let tt_ts = layout.allreduce_vec(ctx, ReduceOp::Sum, vec![dot(&t, &t), dot(&t, &s)]);
+        let tt_ts = layout.comm.allreduce_vec(
+            ctx,
+            ReduceOp::Sum,
+            vec![dot(&t, &t), dot(&t, &s)],
+            CommPhase::Reduction,
+        );
         ctx.clock_mut().advance_flops(4 * nloc);
         let (tt, ts) = (tt_ts[0], tt_ts[1]);
         if tt <= 0.0 || !tt.is_finite() {
@@ -529,7 +537,12 @@ pub fn esr_bicgstab_node(
 
         iterations += 1;
         // Fused: convergence test ‖r‖² + the next iteration's ρ = r̂0ᵀr.
-        let rr_rho = layout.allreduce_vec(ctx, ReduceOp::Sum, vec![dot(&r, &r), dot(&rhat0, &r)]);
+        let rr_rho = layout.comm.allreduce_vec(
+            ctx,
+            ReduceOp::Sum,
+            vec![dot(&r, &r), dot(&rhat0, &r)],
+            CommPhase::Reduction,
+        );
         ctx.clock_mut().advance_flops(4 * nloc);
         residual_sq = rr_rho[0];
         rho_next = rr_rho[1];

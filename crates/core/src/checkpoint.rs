@@ -115,10 +115,11 @@ pub(crate) fn recover_rollback(
         ctx.trace_open("attempt", seq as u64);
         let mut seg_t = ctx.vtime();
         ctx.trace_open("setup", 0);
+        let members = layout.comm.members();
         assert!(
-            failed.len() < layout.members.len(),
+            failed.len() < members.len(),
             "all {} active nodes failed — nothing left to roll back to",
-            layout.members.len()
+            members.len()
         );
 
         // ---- grant replacements to the lowest-ranked failed nodes ------
@@ -136,13 +137,11 @@ pub(crate) fn recover_rollback(
         let am_failed = failed.binary_search(&me).is_ok();
 
         let old_slot = |r: usize| {
-            layout
-                .members
+            members
                 .binary_search(&r)
                 .expect("failed rank is an active member")
         };
-        let new_members: Vec<usize> = layout
-            .members
+        let new_members: Vec<usize> = members
             .iter()
             .copied()
             .filter(|r| retired.binary_search(r).is_err())
@@ -177,7 +176,7 @@ pub(crate) fn recover_rollback(
         // ---- substep 0: before any recovery communication --------------
         ctx.trace_close();
         timeline.mark(ctx, &mut seg_t, attempts, "setup");
-        if poll_overlap(ctx, env.iteration, 0, handled, &mut failed, &layout.members) {
+        if poll_overlap(ctx, env.iteration, 0, handled, &mut failed, members) {
             ctx.trace_instant("overlap_restart", failed.len() as u64);
             ctx.trace_close(); // attempt
             continue 'attempt;
@@ -192,7 +191,7 @@ pub(crate) fn recover_rollback(
         // multiple blocks pushed to one adopter. A reconstructor that is
         // itself a surviving holder reads its replica locally.
         let server_of = |f: usize, failed: &[usize]| -> usize {
-            let holders = store.holders_of(&layout.members, f);
+            let holders = store.holders_of(members, f);
             holders
                 .iter()
                 .copied()
@@ -250,7 +249,7 @@ pub(crate) fn recover_rollback(
         // ---- substep 1: after the replica fetch -------------------------
         ctx.trace_close();
         timeline.mark(ctx, &mut seg_t, attempts, "fetch");
-        if poll_overlap(ctx, env.iteration, 1, handled, &mut failed, &layout.members) {
+        if poll_overlap(ctx, env.iteration, 1, handled, &mut failed, members) {
             ctx.trace_instant("overlap_restart", failed.len() as u64);
             ctx.trace_close(); // attempt
             continue 'attempt;
@@ -264,7 +263,7 @@ pub(crate) fn recover_rollback(
         // than an arbiter — and the fetched replicas carry the same epoch
         // (deposit rounds and failure boundaries never interleave).
         let mut g = ctx.group(&new_members);
-        let epoch = g.allreduce_vec_phase(
+        let epoch = g.allreduce_vec(
             ctx,
             ReduceOp::Min,
             vec![if am_failed {
@@ -279,7 +278,7 @@ pub(crate) fn recover_rollback(
         // ---- substep 2: after epoch agreement ---------------------------
         ctx.trace_close();
         timeline.mark(ctx, &mut seg_t, attempts, "epoch");
-        if poll_overlap(ctx, env.iteration, 2, handled, &mut failed, &layout.members) {
+        if poll_overlap(ctx, env.iteration, 2, handled, &mut failed, members) {
             ctx.trace_instant("overlap_restart", failed.len() as u64);
             ctx.trace_close(); // attempt
             continue 'attempt;
@@ -288,7 +287,7 @@ pub(crate) fn recover_rollback(
         // ---- substep 3: last boundary before the state is committed -----
         ctx.trace_close();
         timeline.mark(ctx, &mut seg_t, attempts, "idle");
-        if poll_overlap(ctx, env.iteration, 3, handled, &mut failed, &layout.members) {
+        if poll_overlap(ctx, env.iteration, 3, handled, &mut failed, members) {
             ctx.trace_instant("overlap_restart", failed.len() as u64);
             ctx.trace_close(); // attempt
             continue 'attempt;
@@ -379,7 +378,7 @@ pub(crate) fn recover_rollback(
             new_members,
             /* with_redundancy = */ false,
         );
-        store.rebuild(&layout.members, layout.my_slot);
+        store.rebuild(layout.comm.members(), layout.comm.index());
         store.own = Checkpoint {
             iteration: epoch,
             data: std::sync::Arc::new(merged),

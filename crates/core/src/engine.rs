@@ -56,7 +56,6 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use parcomm::comm::ReduceOp;
-use parcomm::request::AllreduceRequest;
 use parcomm::{CommPhase, FailAt, Group, NodeCtx, Payload, SparePool};
 use precond::{Ilu0, SparseLdl};
 use sparsemat::vecops::{axpy, dot, xpay};
@@ -87,9 +86,9 @@ pub(crate) fn tag(seq: u32, off: u32) -> u32 {
     TAG_BASE + seq * TAG_STRIDE + off
 }
 
-/// The distributed layout a node program runs on. On the full cluster the
-/// members are `0..N` and collectives go through the world communicator;
-/// after a shrink they go through the surviving members' [`Group`].
+/// The distributed layout a node program runs on, over the active
+/// members' communicator: the world at setup, the survivors' [`Group`]
+/// after a shrink.
 pub(crate) struct Layout {
     /// One contiguous block per member, in member order.
     pub part: BlockPartition,
@@ -103,12 +102,9 @@ pub(crate) struct Layout {
     pub channels: Vec<Retention>,
     /// Preconditioner state on the current layout.
     pub prec: NodePrecond,
-    /// Sorted global ranks of the active members.
-    pub members: Vec<usize>,
-    /// This node's slot (`members[my_slot] == rank`).
-    pub my_slot: usize,
-    /// The shrunken communicator (`None` while the full cluster is alive).
-    pub group: Option<Group>,
+    /// The active members (sorted global ranks); this node's index in it
+    /// is its slot in the partition. Solver reductions go through it.
+    pub comm: Group,
 }
 
 impl Layout {
@@ -119,7 +115,8 @@ impl Layout {
         let rank = ctx.rank();
         let part = BlockPartition::new(a.n_rows(), ctx.size());
         let lm = LocalMatrix::build(a, &part, rank);
-        let mut plan = ScatterPlan::build(ctx, &lm, &part);
+        let mut comm = ctx.world();
+        let mut plan = ScatterPlan::build(ctx, &mut comm, &lm, &part, CommPhase::Setup);
         match &cfg.resilience {
             // Only ESR rides redundancy extras on the SpMV traffic;
             // checkpoint protection pays its deposit traffic instead.
@@ -132,7 +129,7 @@ impl Layout {
                     lm.n_local(),
                     &plan.send_natural,
                 );
-                plan.announce_extras(ctx);
+                plan.announce_extras(ctx, &mut comm, CommPhase::Setup);
             }
             _ => {}
         }
@@ -147,40 +144,7 @@ impl Layout {
             plan,
             channels,
             prec,
-            members: (0..ctx.size()).collect(),
-            my_slot: rank,
-            group: None,
-        }
-    }
-
-    /// Element-wise all-reduce over the active members, charged to the
-    /// Reduction phase. Bitwise-deterministic either way (same
-    /// recursive-doubling schedule over member indices).
-    pub fn allreduce_vec(&mut self, ctx: &mut NodeCtx, opr: ReduceOp, x: Vec<f64>) -> Vec<f64> {
-        match &mut self.group {
-            None => ctx.allreduce_vec(opr, x),
-            Some(g) => g.allreduce_vec_phase(ctx, opr, x, CommPhase::Reduction),
-        }
-    }
-
-    /// Scalar sum all-reduce over the active members.
-    pub fn allreduce_sum(&mut self, ctx: &mut NodeCtx, x: f64) -> f64 {
-        self.allreduce_vec(ctx, ReduceOp::Sum, vec![x])[0]
-    }
-
-    /// Non-blocking element-wise all-reduce over the active members: the
-    /// communication-hiding solvers keep their overlap on a shrunken
-    /// cluster (the group variant replays the identical schedule, so the
-    /// result stays bitwise-deterministic).
-    pub fn iallreduce_vec(
-        &mut self,
-        ctx: &mut NodeCtx,
-        opr: ReduceOp,
-        x: Vec<f64>,
-    ) -> AllreduceRequest {
-        match &mut self.group {
-            None => ctx.iallreduce_vec(opr, x),
-            Some(g) => g.iallreduce_vec_phase(ctx, opr, x, CommPhase::Reduction),
+            comm,
         }
     }
 
@@ -190,7 +154,7 @@ impl Layout {
     pub fn poll_member_failures(&self, ctx: &NodeCtx, boundary: FailAt) -> Vec<usize> {
         ctx.poll_failures(boundary)
             .into_iter()
-            .filter(|f| self.members.binary_search(f).is_ok())
+            .filter(|f| self.comm.members().binary_search(f).is_ok())
             .collect()
     }
 }
@@ -507,10 +471,11 @@ pub(crate) fn recover(
         ctx.trace_open("attempt", seq as u64);
         let mut seg_t = ctx.vtime();
         ctx.trace_open("setup", 0);
+        let members = layout.comm.members();
         assert!(
-            failed.len() < layout.members.len(),
+            failed.len() < members.len(),
             "all {} active nodes failed — nothing left to recover from",
-            layout.members.len()
+            members.len()
         );
 
         // ---- grant replacements to the lowest-ranked failed nodes ------
@@ -531,19 +496,16 @@ pub(crate) fn recover(
         let am_survivor = !am_failed;
 
         let old_slot = |r: usize| {
-            layout
-                .members
+            members
                 .binary_search(&r)
                 .expect("failed rank is an active member")
         };
-        let survivors: Vec<usize> = layout
-            .members
+        let survivors: Vec<usize> = members
             .iter()
             .copied()
             .filter(|r| failed.binary_search(r).is_err())
             .collect();
-        let new_members: Vec<usize> = layout
-            .members
+        let new_members: Vec<usize> = members
             .iter()
             .copied()
             .filter(|r| retired.binary_search(r).is_err())
@@ -593,7 +555,7 @@ pub(crate) fn recover(
         // ---- substep 0: before any recovery communication --------------
         ctx.trace_close();
         timeline.mark(ctx, &mut seg_t, attempts, "setup");
-        if poll_overlap(ctx, env.iteration, 0, handled, &mut failed, &layout.members) {
+        if poll_overlap(ctx, env.iteration, 0, handled, &mut failed, members) {
             ctx.trace_instant("overlap_restart", failed.len() as u64);
             ctx.trace_close(); // attempt
             continue 'attempt;
@@ -688,7 +650,7 @@ pub(crate) fn recover(
         // ---- substep 1: after copy gathering ---------------------------
         ctx.trace_close();
         timeline.mark(ctx, &mut seg_t, attempts, "gather");
-        if poll_overlap(ctx, env.iteration, 1, handled, &mut failed, &layout.members) {
+        if poll_overlap(ctx, env.iteration, 1, handled, &mut failed, members) {
             ctx.trace_instant("overlap_restart", failed.len() as u64);
             ctx.trace_close(); // attempt
             continue 'attempt;
@@ -700,7 +662,7 @@ pub(crate) fn recover(
             seq,
             next_off: OFF_DYNAMIC,
             part: &layout.part,
-            members: &layout.members,
+            members,
             my_range: my_range.clone(),
             failed: failed.clone(),
             survivors: &survivors,
@@ -717,7 +679,7 @@ pub(crate) fn recover(
         // ---- substep 2: after the auxiliary rebuilds -------------------
         ctx.trace_close();
         timeline.mark(ctx, &mut seg_t, attempts, "rebuild");
-        if poll_overlap(ctx, env.iteration, 2, handled, &mut failed, &layout.members) {
+        if poll_overlap(ctx, env.iteration, 2, handled, &mut failed, members) {
             ctx.trace_instant("overlap_restart", failed.len() as u64);
             ctx.trace_close(); // attempt
             continue 'attempt;
@@ -769,7 +731,7 @@ pub(crate) fn recover(
         // ---- substep 3: failures during the x solve --------------------
         ctx.trace_close();
         timeline.mark(ctx, &mut seg_t, attempts, "xsolve");
-        if poll_overlap(ctx, env.iteration, 3, handled, &mut failed, &layout.members) {
+        if poll_overlap(ctx, env.iteration, 3, handled, &mut failed, members) {
             ctx.trace_instant("overlap_restart", failed.len() as u64);
             ctx.trace_close(); // attempt
             continue 'attempt;
@@ -852,8 +814,8 @@ pub(crate) fn rebuild_layout_after_shrink(
         .advance_flops(lm.diag.nnz() + lm.offdiag.nnz());
     let prec = NodePrecond::setup(ctx, env.precond, &new_part, &lm)
         .unwrap_or_else(|e| panic!("rank {me}: preconditioner rebuild after shrink: {e}"));
-    let mut group = ctx.group(&new_members);
-    let mut plan = ScatterPlan::build_on(ctx, &mut group, &lm, &new_part);
+    let mut comm = ctx.group(&new_members);
+    let mut plan = ScatterPlan::build(ctx, &mut comm, &lm, &new_part, CommPhase::Recovery);
     let k = new_members.len();
     let phi_eff = env.res.phi.min(k.saturating_sub(1));
     if with_redundancy && phi_eff >= 1 {
@@ -865,7 +827,7 @@ pub(crate) fn rebuild_layout_after_shrink(
             lm.n_local(),
             &plan.send_natural,
         );
-        plan.announce_extras_on(ctx, &mut group);
+        plan.announce_extras(ctx, &mut comm, CommPhase::Recovery);
     }
     let channels = (0..layout.channels.len())
         .map(|_| Retention::build(&plan, &lm.ghost_cols))
@@ -877,9 +839,7 @@ pub(crate) fn rebuild_layout_after_shrink(
     layout.plan = plan;
     layout.channels = channels;
     layout.prec = prec;
-    layout.members = new_members;
-    layout.my_slot = my_new_slot;
-    layout.group = Some(group);
+    layout.comm = comm;
 }
 
 /// Check the overlap boundary `(iteration, substep)`; merge any newly
@@ -1117,7 +1077,9 @@ impl EngineComm<'_> {
             .iter()
             .flat_map(|b| b.vecs[v_slot].iter().copied())
             .collect();
-        let parts = self.group(ctx).allgatherv_f64(ctx, concat);
+        let parts = self
+            .group(ctx)
+            .allgatherv_f64(ctx, concat, CommPhase::Recovery);
         let v_if: Vec<f64> = parts.into_iter().flatten().collect();
         debug_assert_eq!(v_if.len(), self.if_indices.len());
         for blk in blocks.iter_mut() {
@@ -1227,7 +1189,12 @@ fn solve_failed_rows(
     let mut p = z.clone();
     // Fused: ‖r‖² and rᵀz in one group all-reduce (same 2-reductions-per-
     // iteration scheme as the outer PCG).
-    let init = group.allreduce_vec(ctx, ReduceOp::Sum, vec![dot(&r, &r), dot(&r, &z)]);
+    let init = group.allreduce_vec(
+        ctx,
+        ReduceOp::Sum,
+        vec![dot(&r, &r), dot(&r, &z)],
+        CommPhase::Recovery,
+    );
     let rn0_sq = init[0];
     let mut rz = init[1];
     if rn0_sq <= f64::MIN_POSITIVE {
@@ -1240,12 +1207,12 @@ fn solve_failed_rows(
         iters += 1;
         // Assemble the full If-vector (group index order == ascending
         // reconstructor ranks == the layout of `if_indices`).
-        let parts = group.allgatherv_f64(ctx, p.clone());
+        let parts = group.allgatherv_f64(ctx, p.clone(), CommPhase::Recovery);
         let p_full: Vec<f64> = parts.into_iter().flatten().collect();
         debug_assert_eq!(p_full.len(), if_indices.len());
         sub.spmv(&p_full, &mut u);
         ctx.clock_mut().advance_flops(sub.spmv_flops());
-        let pap = group.allreduce_sum(ctx, dot(&p, &u));
+        let pap = group.allreduce_sum(ctx, dot(&p, &u), CommPhase::Recovery);
         if pap <= 0.0 || !pap.is_finite() {
             panic!("rank {rank}: inner reconstruction solver broke down (pᵀAp = {pap})");
         }
@@ -1254,7 +1221,12 @@ fn solve_failed_rows(
         axpy(-alpha, &u, &mut r);
         ctx.clock_mut().advance_flops(4 * nloc);
         apply_prec(&prec, &r, &mut z);
-        let rr_rz = group.allreduce_vec(ctx, ReduceOp::Sum, vec![dot(&r, &r), dot(&r, &z)]);
+        let rr_rz = group.allreduce_vec(
+            ctx,
+            ReduceOp::Sum,
+            vec![dot(&r, &r), dot(&r, &z)],
+            CommPhase::Recovery,
+        );
         if rr_rz[0] <= target_sq {
             break;
         }

@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use parcomm::comm::ReduceOp;
 use parcomm::fault::poison;
-use parcomm::{CommStats, FailAt, NodeCtx};
+use parcomm::{CommPhase, CommStats, FailAt, NodeCtx};
 use sparsemat::vecops::{axpy, dot, xpay};
 use sparsemat::Csr;
 
@@ -427,8 +427,9 @@ pub fn esr_pcg_node(
     let mut recovery_seq: u32 = 0;
     let mut recovery_timelines: Vec<RecoveryTimeline> = Vec::new();
     let resilient = cfg.resilience.is_some();
-    let mut ckpt =
-        cr.map(|c| crate::retention::CheckpointStore::new(c, &layout.members, layout.my_slot));
+    let mut ckpt = cr.map(|c| {
+        crate::retention::CheckpointStore::new(c, layout.comm.members(), layout.comm.index())
+    });
 
     while !converged && iterations < cfg.max_iter {
         let j = iterations as u64;
@@ -539,7 +540,9 @@ pub fn esr_pcg_node(
                     // ESR: rz must be re-established (replacements recompute
                     // their share); bitwise identical on survivors' data.
                     ctx.clock_mut().advance_flops(2 * nloc);
-                    rz = layout.allreduce_sum(ctx, dot(&r, &z));
+                    rz = layout
+                        .comm
+                        .allreduce_sum(ctx, dot(&r, &z), CommPhase::Reduction);
                 }
                 // Restart the interrupted iteration: re-scatter p(j) (also
                 // restores redundancy and replacement ghosts).
@@ -554,7 +557,9 @@ pub fn esr_pcg_node(
 
         // α(j) = r(j)ᵀz(j) / p(j)ᵀAp(j)   [Alg. 1 line 3]
         ctx.clock_mut().advance_flops(2 * nloc);
-        let pap = layout.allreduce_sum(ctx, dot(&p, &u));
+        let pap = layout
+            .comm
+            .allreduce_sum(ctx, dot(&p, &u), CommPhase::Reduction);
         if pap <= 0.0 || !pap.is_finite() {
             panic!("rank {rank}: PCG breakdown at iteration {j} (pᵀAp = {pap})");
         }
@@ -574,7 +579,12 @@ pub fn esr_pcg_node(
         // rounds dominate: λ ≫ µ at the reduction's message sizes.
         layout.prec.apply(ctx, &r, &mut z); // line 6
         ctx.clock_mut().advance_flops(4 * nloc);
-        let rr_rz = layout.allreduce_vec(ctx, ReduceOp::Sum, vec![dot(&r, &r), dot(&r, &z)]);
+        let rr_rz = layout.comm.allreduce_vec(
+            ctx,
+            ReduceOp::Sum,
+            vec![dot(&r, &r), dot(&r, &z)],
+            CommPhase::Reduction,
+        );
         residual_sq = rr_rz[0];
         if residual_sq <= target_sq {
             converged = true;

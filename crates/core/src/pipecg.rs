@@ -6,8 +6,9 @@
 //!
 //! * the two dependent reductions per iteration are fused into **one**
 //!   length-3 all-reduce (`γ = rᵀu`, `δ = wᵀu`, `‖r‖²`), issued with
-//!   [`parcomm::NodeCtx::iallreduce_vec`] (or its group twin on a shrunken
-//!   cluster) *before* the preconditioner application, ghost exchange, and
+//!   [`parcomm::Group::iallreduce_vec`] on the active members'
+//!   communicator (the world, or the survivors after a shrink) *before*
+//!   the preconditioner application, ghost exchange, and
 //!   SpMV — all of which are independent of the reduction result, so their
 //!   cost hides the reduction's flight time on the overlap-aware virtual
 //!   clock;
@@ -33,7 +34,7 @@ use std::sync::Arc;
 
 use parcomm::comm::ReduceOp;
 use parcomm::fault::poison;
-use parcomm::{FailAt, NodeCtx};
+use parcomm::{CommPhase, FailAt, NodeCtx};
 use sparsemat::vecops::{axpy, dot, xpay};
 use sparsemat::Csr;
 
@@ -371,8 +372,9 @@ pub fn esr_pipecg_node(
     // re-bootstraps the pipeline (below): the recurrences restart through
     // the β = 0 branch, exactly like iteration 0.
     let mut has_dir = false;
-    let mut ckpt =
-        cr.map(|c| crate::retention::CheckpointStore::new(c, &layout.members, layout.my_slot));
+    let mut ckpt = cr.map(|c| {
+        crate::retention::CheckpointStore::new(c, layout.comm.members(), layout.comm.index())
+    });
 
     while !converged && iterations < cfg.max_iter {
         let j = iterations as u64;
@@ -407,12 +409,13 @@ pub fn esr_pipecg_node(
         }
 
         // The single fused reduction of the iteration, overlapped with
-        // everything below until the wait (group-backed after a shrink).
+        // everything below until the wait.
         ctx.clock_mut().advance_flops(6 * nloc);
-        let red_req = layout.iallreduce_vec(
+        let red_req = layout.comm.iallreduce_vec(
             ctx,
             ReduceOp::Sum,
             vec![dot(&r, &u), dot(&w, &u), dot(&r, &r)],
+            CommPhase::Reduction,
         );
 
         // m(j) = M⁻¹ w(j) — independent of the reduction result.

@@ -6,7 +6,7 @@
 //! `P = M⁻¹` with coupling across nodes needs its own ghost exchange, for
 //! which it gets a dedicated scatter plan over `P`'s pattern.
 
-use parcomm::NodeCtx;
+use parcomm::{CommPhase, NodeCtx};
 use precond::{PrecondError, SparseLdl};
 use sparsemat::{BlockPartition, Csr};
 use std::sync::Arc;
@@ -94,7 +94,8 @@ impl NodePrecond {
                     )));
                 }
                 let p_local = LocalMatrix::build(p, part, ctx.rank());
-                let p_plan = ScatterPlan::build(ctx, &p_local, part);
+                let mut world = ctx.world();
+                let p_plan = ScatterPlan::build(ctx, &mut world, &p_local, part, CommPhase::Setup);
                 let p_ghosts = vec![0.0; p_local.ghost_cols.len()];
                 Ok(NodePrecond::ExplicitP {
                     p_full: p.clone(),

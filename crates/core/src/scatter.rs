@@ -10,7 +10,7 @@
 //! to the backup target exists — **no additional message latency** is paid
 //! (paper Sec. 4.2).
 
-use parcomm::{CommPhase, NodeCtx, Payload};
+use parcomm::{CommPhase, Group, NodeCtx, Payload};
 use sparsemat::BlockPartition;
 use std::ops::Range;
 use std::sync::Arc;
@@ -88,37 +88,26 @@ pub struct ScatterPlan {
 }
 
 impl ScatterPlan {
-    /// Build the natural-traffic plan collectively over the full cluster.
-    /// Must be called by all nodes at the same SPMD point.
-    pub fn build(ctx: &mut NodeCtx, lm: &LocalMatrix, part: &BlockPartition) -> Self {
-        let nodes = ctx.size();
-        let rank = ctx.rank();
-        // Catch a mismatched LocalMatrix/partition pairing here, at the
-        // misuse site, not as garbled ghost exchanges several calls later.
-        debug_assert_eq!(lm.range, part.range(rank), "lm built for another rank");
-        let requests = Self::ghost_requests(lm, part, nodes);
-        let incoming = ctx.alltoallv_u64(requests.0);
-        Self::assemble((0..nodes).collect(), rank, lm, requests.1, incoming)
-    }
-
-    /// Build the plan collectively over a shrunken communicator: only
-    /// `group` members participate, and partition block `k` belongs to
-    /// `group.members()[k]`. Traffic is charged to [`CommPhase::Recovery`]
-    /// (plans are rebuilt inside the recovery window).
-    pub fn build_on(
+    /// Build the natural-traffic plan collectively over `comm`, with the
+    /// traffic charged to `phase`: every member calls together, and
+    /// partition block `k` belongs to `comm.members()[k]`. Setup builds it
+    /// over the world; a shrink rebuilds it over the survivors inside the
+    /// recovery window.
+    pub fn build(
         ctx: &mut NodeCtx,
-        group: &mut parcomm::Group,
+        comm: &mut Group,
         lm: &LocalMatrix,
         part: &BlockPartition,
+        phase: CommPhase,
     ) -> Self {
-        let members = group.members().to_vec();
-        debug_assert_eq!(members.len(), part.nodes());
-        let my_slot = group.index();
-        debug_assert_eq!(members[my_slot], ctx.rank());
+        debug_assert_eq!(comm.size(), part.nodes());
+        let my_slot = comm.index();
+        // Catch a mismatched LocalMatrix/partition pairing here, at the
+        // misuse site, not as garbled ghost exchanges several calls later.
         debug_assert_eq!(lm.range, part.range(my_slot), "lm built for another slot");
-        let requests = Self::ghost_requests(lm, part, members.len());
-        let incoming = group.alltoallv_u64(ctx, requests.0, CommPhase::Recovery);
-        Self::assemble(members, my_slot, lm, requests.1, incoming)
+        let requests = Self::ghost_requests(lm, part, comm.size());
+        let incoming = comm.alltoallv_u64(ctx, requests.0, phase);
+        Self::assemble(comm.members().to_vec(), my_slot, lm, requests.1, incoming)
     }
 
     /// Group own ghost needs by owning slot: contiguous segments of the
@@ -235,17 +224,10 @@ impl ScatterPlan {
 
     /// After `send_extra` is filled, announce the extras to their receivers
     /// so they can size and index their retention stores. Collective over
-    /// the full cluster.
-    pub fn announce_extras(&mut self, ctx: &mut NodeCtx) {
+    /// `comm`, the communicator the plan was built on.
+    pub fn announce_extras(&mut self, ctx: &mut NodeCtx, comm: &mut Group, phase: CommPhase) {
         let sends = self.extra_announcements();
-        let incoming = ctx.alltoallv_u64(sends);
-        self.record_extras(incoming);
-    }
-
-    /// [`ScatterPlan::announce_extras`] over a shrunken communicator.
-    pub fn announce_extras_on(&mut self, ctx: &mut NodeCtx, group: &mut parcomm::Group) {
-        let sends = self.extra_announcements();
-        let incoming = group.alltoallv_u64(ctx, sends, CommPhase::Recovery);
+        let incoming = comm.alltoallv_u64(ctx, sends, phase);
         self.record_extras(incoming);
     }
 
@@ -437,12 +419,17 @@ mod tests {
     use sparsemat::Csr;
     use std::sync::Arc;
 
+    fn world_plan(ctx: &mut NodeCtx, lm: &LocalMatrix, part: &BlockPartition) -> ScatterPlan {
+        let mut world = ctx.world();
+        ScatterPlan::build(ctx, &mut world, lm, part, CommPhase::Setup)
+    }
+
     fn build_plans(a: Arc<Csr>, nodes: usize) -> Vec<(ScatterPlan, LocalMatrix)> {
         let n = a.n_rows();
         Cluster::run(ClusterConfig::new(nodes), move |ctx| {
             let part = BlockPartition::new(n, ctx.size());
             let lm = LocalMatrix::build(&a, &part, ctx.rank());
-            let plan = ScatterPlan::build(ctx, &lm, &part);
+            let plan = world_plan(ctx, &lm, &part);
             (plan, lm)
         })
     }
@@ -478,7 +465,7 @@ mod tests {
         let out = Cluster::run(ClusterConfig::new(3), move |ctx| {
             let part = BlockPartition::new(n, ctx.size());
             let lm = LocalMatrix::build(&a, &part, ctx.rank());
-            let mut plan = ScatterPlan::build(ctx, &lm, &part);
+            let mut plan = world_plan(ctx, &lm, &part);
             // Global vector x[i] = i².
             let v_loc: Vec<f64> = lm.range.clone().map(|i| (i * i) as f64).collect();
             let mut ghosts = vec![f64::NAN; lm.ghost_cols.len()];
@@ -500,7 +487,7 @@ mod tests {
         let out = Cluster::run(ClusterConfig::new(5), move |ctx| {
             let part = BlockPartition::new(n, ctx.size());
             let lm = LocalMatrix::build(&a2, &part, ctx.rank());
-            let mut plan = ScatterPlan::build(ctx, &lm, &part);
+            let mut plan = world_plan(ctx, &lm, &part);
             let x_loc: Vec<f64> = lm.range.clone().map(|i| (i as f64 * 0.31).cos()).collect();
             let mut ghosts = vec![0.0; lm.ghost_cols.len()];
             plan.exchange(ctx, &x_loc, &mut ghosts, None);

@@ -43,7 +43,8 @@ pub fn esr_jacobi_node(
     let rank = ctx.rank();
     let part = BlockPartition::new(n, ctx.size());
     let lm = LocalMatrix::build(a, &part, rank);
-    let mut plan = ScatterPlan::build(ctx, &lm, &part);
+    let mut world = ctx.world();
+    let mut plan = ScatterPlan::build(ctx, &mut world, &lm, &part, CommPhase::Setup);
     if let Some(res) = &cfg.resilience {
         plan.send_extra = redundancy::compute_extra_sends(
             rank,
@@ -53,7 +54,7 @@ pub fn esr_jacobi_node(
             lm.n_local(),
             &plan.send_natural,
         );
-        plan.announce_extras(ctx);
+        plan.announce_extras(ctx, &mut world, CommPhase::Setup);
     }
     let mut retention = Retention::build(&plan, &lm.ghost_cols);
     ctx.barrier();

@@ -187,6 +187,7 @@ impl Cluster {
         }
 
         let sched = Arc::new(Scheduler::new(n));
+        let world: Arc<[usize]> = (0..n).collect();
 
         let program = &program;
         thread::scope(|s| {
@@ -197,6 +198,7 @@ impl Cluster {
                 let cost = config.cost;
                 let spares = config.spares;
                 let sched = sched.clone();
+                let world = world.clone();
                 handles.push(
                     thread::Builder::new()
                         .name(format!("node-{rank}"))
@@ -207,7 +209,7 @@ impl Cluster {
                         .spawn_scoped(s, move || {
                             let mut ctx = NodeCtx::new(
                                 rank,
-                                n,
+                                world,
                                 mb,
                                 outboxes,
                                 oracle,
@@ -529,8 +531,8 @@ mod tests {
             // Odd ranks form a group; evens idle.
             if ctx.rank() % 2 == 1 {
                 let mut g = ctx.group(&[1, 3]);
-                let s = g.allreduce_sum(ctx, ctx.rank() as f64);
-                let gathered = g.allgatherv_f64(ctx, vec![ctx.rank() as f64]);
+                let s = g.allreduce_sum(ctx, ctx.rank() as f64, CommPhase::Recovery);
+                let gathered = g.allgatherv_f64(ctx, vec![ctx.rank() as f64], CommPhase::Recovery);
                 Some((s, gathered))
             } else {
                 None
@@ -540,6 +542,26 @@ mod tests {
             let (s, gathered) = out[r].clone().unwrap();
             assert_eq!(s, 4.0);
             assert_eq!(gathered, vec![vec![1.0], vec![3.0]]);
+        }
+    }
+
+    #[test]
+    fn world_handles_share_one_sequence_counter() {
+        // A world handle taken before a `NodeCtx` barrier must draw the
+        // next world sequence number, not reuse the barrier's. Under the
+        // `audit` feature a reused number is reported as a barrier and an
+        // all-reduce issued at one world collective instance.
+        let out = Cluster::run(ClusterConfig::new(3), |ctx| {
+            let mut world = ctx.world();
+            assert_eq!((world.size(), world.index()), (3, ctx.rank()));
+            ctx.barrier();
+            let a = world.allreduce_sum(ctx, 1.0, CommPhase::Reduction);
+            let b = ctx.allreduce_sum(ctx.rank() as f64);
+            let c = ctx.world().allreduce_sum(ctx, 2.0, CommPhase::Reduction);
+            (a, b, c, ctx.stats().allreduces())
+        });
+        for o in out {
+            assert_eq!(o, (3.0, 3.0, 6.0, 3));
         }
     }
 
@@ -738,7 +760,7 @@ mod tests {
             if ctx.rank() == 1 || ctx.rank() == 3 {
                 let mut g = ctx.group(&[1, 3]);
                 if ctx.rank() == 1 {
-                    g.allreduce_sum(ctx, 1.0);
+                    g.allreduce_sum(ctx, 1.0, CommPhase::Recovery);
                 }
             }
         });

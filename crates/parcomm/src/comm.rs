@@ -1,19 +1,14 @@
-//! The per-node communicator handle: point-to-point messaging and
-//! deterministic collectives.
+//! The per-node handle: point-to-point messaging, the recursive-doubling
+//! primitives the collectives run on, and the world communicator.
 //!
-//! Collectives have a **structure fixed by (root, size)**, so floating-point
-//! reductions are bitwise reproducible across runs — the reduction order
-//! never depends on message timing. Broadcast and gather use binomial trees
-//! of point-to-point messages; all-reduce and barrier use **recursive
-//! doubling** (⌈log₂N⌉ rounds, no root bottleneck; non-power-of-two sizes
-//! fold the surplus ranks in before and out after the doubling phase, +2
-//! rounds), completed in one step at a scheduler rendezvous and charged
-//! round by round as the messages would have been (see
-//! [`crate::rendezvous`]). This mirrors what MPI implementations provide on
-//! a fixed topology and is essential for the reproducibility of the
-//! numerical experiments.
+//! The world is the [`Group`] of all ranks ([`NodeCtx::world`]). Every
+//! collective has one body, in [`crate::group`]; the world methods here
+//! (`allreduce_sum`, `barrier`, `bcast`, …) are one-line delegations that
+//! fix the world's historical accounting phases. All handles to the world
+//! draw from this node's one collective sequence counter.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 #[cfg(feature = "audit")]
 use crate::audit;
@@ -24,7 +19,7 @@ use crate::payload::{Message, Payload};
 use crate::rendezvous::{RdCall, RdPlan};
 use crate::request::{AllreduceRequest, RecvRequest, SendRequest};
 use crate::stats::{CommPhase, CommStats};
-use crate::tag::{op, Tag};
+use crate::tag::Tag;
 use crate::vclock::VClock;
 
 /// Element-wise reduction operators over `f64` buffers.
@@ -65,95 +60,18 @@ impl ReduceOp {
     }
 }
 
-/// Element types that can travel in a [`Payload`] buffer variant. Lets the
-/// ragged-buffer logic (broadcast counts, then flattened data, then split)
-/// be written once for both `f64` and `u64`.
-pub(crate) trait PayloadElem: Clone {
-    fn wrap(v: Vec<Self>) -> Payload;
-    fn unwrap(p: Payload) -> Vec<Self>;
-}
-
-impl PayloadElem for f64 {
-    fn wrap(v: Vec<f64>) -> Payload {
-        Payload::f64s(v)
-    }
-    fn unwrap(p: Payload) -> Vec<f64> {
-        p.into_f64s()
-    }
-}
-
-impl PayloadElem for u64 {
-    fn wrap(v: Vec<u64>) -> Payload {
-        Payload::u64s(v)
-    }
-    fn unwrap(p: Payload) -> Vec<u64> {
-        p.into_u64s()
-    }
-}
-
-impl PayloadElem for (u64, f64) {
-    fn wrap(v: Vec<(u64, f64)>) -> Payload {
-        Payload::pairs(v)
-    }
-    fn unwrap(p: Payload) -> Vec<(u64, f64)> {
-        p.into_pairs()
-    }
-}
-
-/// Personalized all-to-all of per-participant buffers under one tag: post
-/// all sends first (asynchronous channels — no deadlock), then receive in
-/// ascending participant order; the own slot is passed through untouched.
-/// One implementation for the world (`members: None`) and group
-/// communicators and for every element type that fits in a payload — the
-/// loop used to live in four near-identical copies.
-pub(crate) fn alltoallv_generic<T: PayloadElem>(
-    ctx: &mut NodeCtx,
-    my_index: usize,
-    members: Option<&[usize]>,
-    tag: Tag,
-    phase: CommPhase,
-    mut sends: Vec<Vec<T>>,
-) -> Vec<Vec<T>> {
-    let n = sends.len();
-    let rank_of = |i: usize| members.map_or(i, |m| m[i]);
-    let mut own = Some(std::mem::take(&mut sends[my_index]));
-    for i in 0..n {
-        if i != my_index {
-            let data = std::mem::take(&mut sends[i]);
-            ctx.send_tag(rank_of(i), tag, T::wrap(data), phase);
-        }
-    }
-    let mut out: Vec<Vec<T>> = Vec::with_capacity(n);
-    for i in 0..n {
-        if i == my_index {
-            out.push(own.take().expect("own slot filled once"));
-        } else {
-            out.push(T::unwrap(ctx.recv_tag(rank_of(i), tag, phase).payload));
-        }
-    }
-    out
-}
-
-/// Split a flattened buffer back into per-rank pieces of the given lengths.
-pub(crate) fn split_by_counts<T>(flat: Vec<T>, counts: &[u64]) -> Vec<Vec<T>> {
-    debug_assert_eq!(flat.len() as u64, counts.iter().sum::<u64>());
-    let mut it = flat.into_iter();
-    counts
-        .iter()
-        .map(|&c| it.by_ref().take(c as usize).collect())
-        .collect()
-}
-
 /// A node's view of the cluster: rank, mailbox, peers, clock, statistics,
 /// and the failure oracle. Exactly one `NodeCtx` exists per node thread.
 pub struct NodeCtx {
     rank: usize,
-    size: usize,
+    /// The world's members, `0..N`: one list shared by every node.
+    world: Arc<[usize]>,
     mailbox: Mailbox,
     outboxes: Vec<Outbox>,
     oracle: FaultOracle,
     clock: VClock,
     stats: CommStats,
+    /// The world's collective sequence counter.
     coll_seq: u64,
     group_counters: HashMap<Vec<usize>, u32>,
     spares: usize,
@@ -171,7 +89,7 @@ impl NodeCtx {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         rank: usize,
-        size: usize,
+        world: Arc<[usize]>,
         mailbox: Mailbox,
         outboxes: Vec<Outbox>,
         oracle: FaultOracle,
@@ -180,7 +98,7 @@ impl NodeCtx {
     ) -> Self {
         NodeCtx {
             rank,
-            size,
+            world,
             mailbox,
             outboxes,
             oracle,
@@ -418,7 +336,7 @@ impl NodeCtx {
 
     /// Number of nodes in the cluster.
     pub fn size(&self) -> usize {
-        self.size
+        self.world.len()
     }
 
     // ------------------------------------------------------------------
@@ -431,7 +349,7 @@ impl NodeCtx {
     }
 
     pub(crate) fn send_tag(&mut self, dest: usize, tag: Tag, payload: Payload, phase: CommPhase) {
-        debug_assert!(dest < self.size, "send to rank {} of {}", dest, self.size);
+        debug_assert!(dest < self.size(), "send to rank {dest} of {}", self.size());
         let arrival_vtime = self.charge_send(dest, tag, payload.elems(), phase);
         self.raw_send(dest, tag, payload, arrival_vtime);
     }
@@ -607,7 +525,7 @@ impl NodeCtx {
     }
 
     // ------------------------------------------------------------------
-    // Non-blocking point-to-point and collectives
+    // Non-blocking point-to-point
     // ------------------------------------------------------------------
 
     /// Non-blocking send: the message departs immediately (stamped from the
@@ -622,7 +540,7 @@ impl NodeCtx {
         payload: Payload,
         phase: CommPhase,
     ) -> SendRequest {
-        debug_assert!(dest < self.size, "send to rank {} of {}", dest, self.size);
+        debug_assert!(dest < self.size(), "send to rank {dest} of {}", self.size());
         let elems = payload.elems();
         self.stats.record_send(phase, elems);
         let start = self.clock.now();
@@ -647,87 +565,34 @@ impl NodeCtx {
         RecvRequest::new(src, tag, phase, posted_at)
     }
 
-    /// Non-blocking element-wise all-reduce: same deterministic
-    /// recursive-doubling schedule (and bitwise-identical result) as
-    /// [`NodeCtx::allreduce_vec`], but executed on a detached virtual
-    /// timeline, as if by a communication offload engine. The node clock is
-    /// untouched until [`AllreduceRequest::wait`], which charges only
-    /// `max(clock, completion) − clock` — compute issued between `start`
-    /// and `wait` hides the reduction's flight time.
-    ///
-    /// All nodes must issue the operation at the same SPMD point (it shares
-    /// the collective sequence space with the blocking collectives).
-    pub fn iallreduce_vec(&mut self, opr: ReduceOp, x: Vec<f64>) -> AllreduceRequest {
-        let seq = self.next_seq();
-        let tag = Tag::coll(op::ALLREDUCE, seq);
-        #[cfg(feature = "audit")]
-        self.audit_coll(audit::CollEvent {
-            scope: None,
-            seq,
-            kind: op::ALLREDUCE,
-            rop: Some(opr),
-            len: Some(x.len()),
-            members_hash: audit::WORLD_HASH,
-            n_members: self.size,
-        });
-        self.trace_open("iallreduce", seq);
-        let start = self.clock.now();
-        let (acc, rounds, done_at) = self.rd_engine(self.world_rd(tag, Some(opr)), x);
-        self.trace_close();
-        self.stats.record_allreduce(rounds);
-        AllreduceRequest::new(acc, start, done_at, CommPhase::Reduction)
+    // ------------------------------------------------------------------
+    // The world communicator
+    // ------------------------------------------------------------------
+
+    /// The world communicator: the group of all ranks, indexed by rank.
+    /// Every handle draws from this node's one world sequence counter, so
+    /// world collectives issued through different handles never share an
+    /// instance.
+    pub fn world(&self) -> Group {
+        Group::world(self.world.clone(), self.rank)
     }
 
-    // ------------------------------------------------------------------
-    // Collectives
-    // ------------------------------------------------------------------
-
-    fn next_seq(&mut self) -> u64 {
+    pub(crate) fn next_world_seq(&mut self) -> u64 {
         let s = self.coll_seq;
         self.coll_seq += 1;
         s
     }
 
-    /// Synchronize all nodes (and their virtual clocks). Implemented as a
-    /// zero-length recursive-doubling exchange, so every node transitively
-    /// absorbs every other node's clock in ⌈log₂N⌉(+2) rounds.
+    /// Synchronize all nodes (and their virtual clocks); see
+    /// [`Group::barrier`].
     pub fn barrier(&mut self) {
-        let seq = self.next_seq();
-        let tag = Tag::coll(op::BARRIER, seq);
-        #[cfg(feature = "audit")]
-        self.audit_coll(audit::CollEvent {
-            scope: None,
-            seq,
-            kind: op::BARRIER,
-            rop: None,
-            len: Some(0),
-            members_hash: audit::WORLD_HASH,
-            n_members: self.size,
-        });
-        self.trace_open("barrier", seq);
-        self.rd_blocking(self.world_rd(tag, None), Vec::new());
-        self.trace_close();
+        self.world().barrier(self, CommPhase::Reduction)
     }
 
     /// Broadcast `payload` from `root`; every node returns the payload.
     pub fn bcast(&mut self, root: usize, payload: Payload) -> Payload {
-        let seq = self.next_seq();
-        #[cfg(feature = "audit")]
-        self.audit_coll(audit::CollEvent {
-            scope: None,
-            seq,
-            kind: op::BCAST,
-            rop: None,
-            // Only the root knows the length up front; leaves record None
-            // and the checker compares lengths among declared values only.
-            len: None,
-            members_hash: audit::WORLD_HASH,
-            n_members: self.size,
-        });
-        self.trace_open("bcast", seq);
-        let out = self.tree_bcast_from(root, payload, Tag::coll(op::BCAST, seq));
-        self.trace_close();
-        out
+        self.world()
+            .bcast(self, root, payload, CommPhase::Reduction)
     }
 
     /// All-reduce a scalar.
@@ -745,208 +610,64 @@ impl NodeCtx {
         self.allreduce_vec(ReduceOp::Min, vec![x])[0]
     }
 
-    /// Element-wise all-reduce of an `f64` buffer (all nodes pass equal
-    /// lengths; the result is bitwise identical on every node).
-    ///
-    /// Recursive doubling: ⌈log₂N⌉ rounds (+2 on non-power-of-two sizes),
-    /// every node sends and receives one buffer per round — no root
-    /// bottleneck, and half the rounds of the former reduce-to-root +
-    /// broadcast implementation. The pairing and combination order are
-    /// fixed functions of (rank, size), so the result is deterministic.
+    /// Element-wise all-reduce of an `f64` buffer over the world (see
+    /// [`Group::allreduce_vec`]).
     pub fn allreduce_vec(&mut self, opr: ReduceOp, x: Vec<f64>) -> Vec<f64> {
-        let seq = self.next_seq();
-        let tag = Tag::coll(op::ALLREDUCE, seq);
-        #[cfg(feature = "audit")]
-        self.audit_coll(audit::CollEvent {
-            scope: None,
-            seq,
-            kind: op::ALLREDUCE,
-            rop: Some(opr),
-            len: Some(x.len()),
-            members_hash: audit::WORLD_HASH,
-            n_members: self.size,
-        });
-        self.trace_open("allreduce", seq);
-        let (acc, rounds) = self.rd_blocking(self.world_rd(tag, Some(opr)), x);
-        self.trace_close();
-        self.stats.record_allreduce(rounds);
-        acc
+        self.world()
+            .allreduce_vec(self, opr, x, CommPhase::Reduction)
+    }
+
+    /// Non-blocking element-wise all-reduce over the world (see
+    /// [`Group::iallreduce_vec`]), charged to [`CommPhase::Reduction`].
+    pub fn iallreduce_vec(&mut self, opr: ReduceOp, x: Vec<f64>) -> AllreduceRequest {
+        self.world()
+            .iallreduce_vec(self, opr, x, CommPhase::Reduction)
     }
 
     /// Gather variable-length `f64` buffers on `root` (rank order).
     /// Non-roots return `None`.
     pub fn gatherv_f64(&mut self, root: usize, x: Vec<f64>) -> Option<Vec<Vec<f64>>> {
-        let seq = self.next_seq();
-        let tag = Tag::coll(op::GATHER, seq);
-        #[cfg(feature = "audit")]
-        self.audit_coll(audit::CollEvent {
-            scope: None,
-            seq,
-            kind: op::GATHER,
-            rop: None,
-            len: None, // ragged by design
-            members_hash: audit::WORLD_HASH,
-            n_members: self.size,
-        });
-        self.trace_open("gather", seq);
-        let out = if self.rank == root {
-            let mut own = Some(x);
-            let mut out: Vec<Vec<f64>> = Vec::with_capacity(self.size);
-            for r in 0..self.size {
-                if r == root {
-                    out.push(own.take().expect("own slot filled once"));
-                } else {
-                    out.push(self.recv_tag(r, tag, CommPhase::Other).payload.into_f64s());
-                }
-            }
-            Some(out)
-        } else {
-            self.send_tag(root, tag, Payload::f64s(x), CommPhase::Other);
-            None
-        };
-        self.trace_close();
-        out
+        self.world().gatherv_f64(self, root, x, CommPhase::Other)
     }
 
     /// All-gather variable-length `f64` buffers; result indexed by rank.
     pub fn allgatherv_f64(&mut self, x: Vec<f64>) -> Vec<Vec<f64>> {
-        let gathered = self.gatherv_f64(0, x);
-        self.bcast_ragged(0, gathered)
+        self.world()
+            .allgatherv(self, x, CommPhase::Other, CommPhase::Reduction)
     }
 
     /// All-gather variable-length `u64` buffers; result indexed by rank.
     pub fn allgatherv_u64(&mut self, x: Vec<u64>) -> Vec<Vec<u64>> {
-        let seq = self.next_seq();
-        let tag = Tag::coll(op::GATHER, seq);
-        #[cfg(feature = "audit")]
-        self.audit_coll(audit::CollEvent {
-            scope: None,
-            seq,
-            kind: op::GATHER,
-            rop: None,
-            len: None, // ragged by design
-            members_hash: audit::WORLD_HASH,
-            n_members: self.size,
-        });
-        self.trace_open("gather", seq);
-        let gathered: Option<Vec<Vec<u64>>> = if self.rank == 0 {
-            let mut own = Some(x);
-            let mut out: Vec<Vec<u64>> = Vec::with_capacity(self.size);
-            for r in 0..self.size {
-                if r == 0 {
-                    out.push(own.take().expect("own slot filled once"));
-                } else {
-                    out.push(self.recv_tag(r, tag, CommPhase::Other).payload.into_u64s());
-                }
-            }
-            Some(out)
-        } else {
-            self.send_tag(0, tag, Payload::u64s(x), CommPhase::Other);
-            None
-        };
-        self.trace_close();
-        self.bcast_ragged(0, gathered)
+        self.world()
+            .allgatherv(self, x, CommPhase::Other, CommPhase::Reduction)
     }
 
-    /// Broadcast ragged per-rank buffers from `root`: counts first, then the
-    /// flattened data, then split back. One implementation for every element
-    /// type that fits in a payload (the logic used to be triplicated).
-    fn bcast_ragged<T: PayloadElem>(
-        &mut self,
-        root: usize,
-        vecs: Option<Vec<Vec<T>>>,
-    ) -> Vec<Vec<T>> {
-        let counts = self.bcast(
-            root,
-            match &vecs {
-                Some(vs) => Payload::u64s(vs.iter().map(|v| v.len() as u64).collect()),
-                None => Payload::Empty,
-            },
-        );
-        let flat = self.bcast(
-            root,
-            match vecs {
-                Some(vs) => T::wrap(vs.into_iter().flatten().collect()),
-                None => Payload::Empty,
-            },
-        );
-        split_by_counts(T::unwrap(flat), &counts.into_u64s())
-    }
-
-    /// Personalized all-to-all of index lists: `sends[k]` goes to rank `k`;
-    /// returns the lists received from every rank (own slot passed through).
-    /// Every pair exchanges a message (possibly empty) — used for one-time
-    /// plan setup, where symmetric knowledge is simplest and N ≤ a few
-    /// hundred.
+    /// Personalized all-to-all of index lists: `sends[k]` goes to rank `k`
+    /// (see [`Group::alltoallv_u64`]), charged to [`CommPhase::Setup`].
     pub fn alltoallv_u64(&mut self, sends: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
-        assert_eq!(sends.len(), self.size, "alltoallv needs one list per rank");
-        let seq = self.next_seq();
-        let tag = Tag::coll(op::ALLTOALL, seq);
-        #[cfg(feature = "audit")]
-        self.audit_coll(audit::CollEvent {
-            scope: None,
-            seq,
-            kind: op::ALLTOALL,
-            rop: None,
-            len: None, // ragged by design
-            members_hash: audit::WORLD_HASH,
-            n_members: self.size,
-        });
-        let rank = self.rank;
-        self.trace_open("alltoall", seq);
-        let out = alltoallv_generic(self, rank, None, tag, CommPhase::Setup, sends);
-        self.trace_close();
-        out
+        self.world().alltoallv_u64(self, sends, CommPhase::Setup)
     }
 
     /// Personalized all-to-all of `(index, value)` pair lists, charged to
-    /// `phase` (recovery gathers use this).
+    /// `phase`.
     pub fn alltoallv_pairs(
         &mut self,
         sends: Vec<Vec<(u64, f64)>>,
         phase: CommPhase,
     ) -> Vec<Vec<(u64, f64)>> {
-        assert_eq!(sends.len(), self.size, "alltoallv needs one list per rank");
-        let seq = self.next_seq();
-        let tag = Tag::coll(op::ALLTOALL, seq);
-        #[cfg(feature = "audit")]
-        self.audit_coll(audit::CollEvent {
-            scope: None,
-            seq,
-            kind: op::ALLTOALL,
-            rop: None,
-            len: None, // ragged by design
-            members_hash: audit::WORLD_HASH,
-            n_members: self.size,
-        });
-        let rank = self.rank;
-        self.trace_open("alltoall", seq);
-        let out = alltoallv_generic(self, rank, None, tag, phase, sends);
-        self.trace_close();
-        out
+        self.world().alltoallv_pairs(self, sends, phase)
     }
 
     // ------------------------------------------------------------------
-    // Recursive-doubling collectives (all-reduce, barrier)
+    // Recursive-doubling primitives (all-reduce, barrier)
     // ------------------------------------------------------------------
-
-    /// A world-communicator recursive-doubling call (phase `Reduction`).
-    fn world_rd(&self, tag: Tag, opr: Option<ReduceOp>) -> RdColl<'static> {
-        RdColl {
-            index: self.rank,
-            members: None,
-            tag,
-            opr,
-            phase: CommPhase::Reduction,
-        }
-    }
 
     /// Reach the rendezvous of a recursive-doubling collective (see
     /// [`crate::rendezvous`]) and return this member's plan. Parks until
     /// the last member arrives — unless this is the last member, which
     /// completes the collective for everyone.
     fn rd_plan(&mut self, coll: &RdColl<'_>, x: Vec<f64>) -> RdPlan {
-        let n = coll.members.map_or(self.size, <[usize]>::len);
+        let n = coll.members.len();
         if n == 1 {
             return RdPlan::alone(x);
         }
@@ -1017,53 +738,7 @@ impl NodeCtx {
     }
 
     // ------------------------------------------------------------------
-    // Binomial-tree broadcast primitive
-    // ------------------------------------------------------------------
-
-    /// Broadcast from `root` over a binomial tree. The per-child
-    /// `data.clone()` is an `Arc` bump, not a buffer copy.
-    fn tree_bcast_from(&mut self, root: usize, payload: Payload, tag: Tag) -> Payload {
-        let n = self.size;
-        if n == 1 {
-            return payload;
-        }
-        let vrank = (self.rank + n - root) % n;
-        // Find the highest power of two ≤ n.
-        let mut top = 1usize;
-        while top << 1 < n {
-            top <<= 1;
-        }
-        let data: Payload = if vrank == 0 {
-            payload
-        } else {
-            // Receive from parent: clear lowest set bit of vrank.
-            let parent_v = vrank & (vrank - 1);
-            let parent = (parent_v + root) % n;
-            self.recv_tag(parent, tag, CommPhase::Reduction).payload
-        };
-        // Forward to children (bits below our lowest set bit), farthest
-        // subtree first so it starts as early as possible.
-        let lowbit = if vrank == 0 {
-            top << 1
-        } else {
-            vrank & vrank.wrapping_neg()
-        };
-        let mut mask = top;
-        while mask > 0 {
-            if mask < lowbit {
-                let child_v = vrank | mask;
-                if child_v < n {
-                    let child = (child_v + root) % n;
-                    self.send_tag(child, tag, data.clone(), CommPhase::Reduction);
-                }
-            }
-            mask >>= 1;
-        }
-        data
-    }
-
-    // ------------------------------------------------------------------
-    // Groups, faults, metrics
+    // Sub-communicators, faults, metrics
     // ------------------------------------------------------------------
 
     /// Create a sub-communicator over `ranks` (must contain this rank; all
@@ -1140,23 +815,12 @@ impl NodeCtx {
 pub(crate) struct RdColl<'a> {
     /// This member's participant index.
     pub index: usize,
-    /// Participant ranks by index; `None` for the world (index = rank).
-    pub members: Option<&'a [usize]>,
+    /// Participant ranks by index.
+    pub members: &'a Arc<[usize]>,
     /// The collective's tag (one tag covers all rounds).
     pub tag: Tag,
     /// Reduction operator; `None` for a barrier.
     pub opr: Option<ReduceOp>,
     /// Accounting phase of the collective's traffic.
     pub phase: CommPhase,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn split_by_counts_partitions() {
-        let out = split_by_counts(vec![1u64, 2, 3, 4, 5], &[2, 0, 3]);
-        assert_eq!(out, vec![vec![1, 2], vec![], vec![3, 4, 5]]);
-    }
 }

@@ -29,8 +29,11 @@
 //!   the flight time, and [`CommStats`] splits communication into exposed
 //!   vs hidden virtual time — the substrate of the communication-hiding
 //!   pipelined PCG,
-//! * sub-communicators ([`NodeCtx::group`]) used by replacement nodes during
-//!   cooperative state reconstruction,
+//! * one communicator type, [`Group`]: the world is the group of all ranks
+//!   ([`NodeCtx::world`]), and sub-communicators ([`NodeCtx::group`]) serve
+//!   the replacement nodes' cooperative state reconstruction and a
+//!   shrunken cluster's survivors; every collective has one body there,
+//!   and the world methods on [`NodeCtx`] delegate to it,
 //! * a ULFM-like [`fault::FaultOracle`] that detects node failures, notifies
 //!   all surviving nodes consistently, and provisions replacement nodes,
 //! * a **virtual BSP clock** ([`vclock`]) implementing the latency–bandwidth

@@ -86,17 +86,13 @@ impl RdPlan {
 }
 
 /// Run the schedule for all `calls` (in participant-index order; `members`
-/// maps indices to global ranks, `None` for the world). Returns each
+/// maps indices to global ranks). Returns each
 /// member's plan in the same order, or — when the members disagree on the
 /// operation, operator, size or length — the `[collective-mismatch]`
 /// report.
-pub(crate) fn complete(
-    calls: Vec<RdCall>,
-    members: Option<&[usize]>,
-) -> Result<Vec<RdPlan>, String> {
+pub(crate) fn complete(calls: Vec<RdCall>, members: &[usize]) -> Result<Vec<RdPlan>, String> {
     check_agreement(&calls, members)?;
     let n = calls.len();
-    let rank_of = |i: usize| members.map_or(i, |m| m[i]);
     let elems = calls[0].buf.len();
     let opr = calls[0].opr.unwrap_or(ReduceOp::Sum);
     let pof2 = prev_power_of_two(n);
@@ -121,13 +117,13 @@ pub(crate) fn complete(
     let one_way = |from: usize, to: usize, clock: &mut Vec<f64>, rounds: &mut Vec<Vec<RdRound>>| {
         let at = send(clock, from);
         rounds[from].push(RdRound {
-            peer: rank_of(to),
+            peer: members[to],
             send: true,
             recv: None,
         });
         absorb(&mut clock[to], at);
         rounds[to].push(RdRound {
-            peer: rank_of(from),
+            peer: members[from],
             send: false,
             recv: Some(at),
         });
@@ -145,7 +141,7 @@ pub(crate) fn complete(
             let (i, p) = (orig(v), v ^ mask);
             absorb(&mut clock[i], stamps[p]);
             rounds[i].push(RdRound {
-                peer: rank_of(orig(p)),
+                peer: members[orig(p)],
                 send: true,
                 recv: Some(stamps[p]),
             });
@@ -193,8 +189,7 @@ pub(crate) fn complete(
 /// Every member must have issued the same operation, operator and
 /// communicator size, with equal buffer lengths — otherwise the combine
 /// would silently truncate to the shorter buffer.
-fn check_agreement(calls: &[RdCall], members: Option<&[usize]>) -> Result<(), String> {
-    let rank_of = |i: usize| members.map_or(i, |m| m[i]);
+fn check_agreement(calls: &[RdCall], members: &[usize]) -> Result<(), String> {
     let c0 = &calls[0];
     let (scope, seq) = c0.tag.scope_seq();
     let issued = |c: &RdCall| describe_coll(c.tag.op(), c.opr, Some(c.buf.len()), c.n);
@@ -205,8 +200,8 @@ fn check_agreement(calls: &[RdCall], members: Option<&[usize]>) -> Result<(), St
         return Err(issued_mismatch(
             scope,
             seq,
-            (rank_of(c0.index), &issued(c0)),
-            (rank_of(c.index), &issued(c)),
+            (members[c0.index], &issued(c0)),
+            (members[c.index], &issued(c)),
         ));
     }
     if let Some(c) = calls[1..].iter().find(|c| c.buf.len() != c0.buf.len()) {
@@ -214,8 +209,8 @@ fn check_agreement(calls: &[RdCall], members: Option<&[usize]>) -> Result<(), St
             scope,
             seq,
             &issued(c0),
-            (rank_of(c0.index), c0.buf.len()),
-            (rank_of(c.index), c.buf.len()),
+            (members[c0.index], c0.buf.len()),
+            (members[c.index], c.buf.len()),
         ));
     }
     Ok(())
@@ -329,7 +324,7 @@ mod tests {
     fn three_members_fold_in_and_out() {
         // n = 3: pof2 = 2, rem = 1. Index 0 folds into 1, indices 1 and 2
         // double, 1 folds the result back out to 0.
-        let plans = complete(calls(3), None).unwrap();
+        let plans = complete(calls(3), &[0, 1, 2]).unwrap();
         for p in &plans {
             assert_eq!(p.result, vec![6.0]);
         }
@@ -360,7 +355,7 @@ mod tests {
 
     #[test]
     fn members_map_indices_to_ranks() {
-        let plans = complete(calls(2), Some(&[3, 7])).unwrap();
+        let plans = complete(calls(2), &[3, 7]).unwrap();
         assert_eq!(plans[0].rounds[0].peer, 7);
         assert_eq!(plans[1].rounds[0].peer, 3);
     }
@@ -369,7 +364,7 @@ mod tests {
     fn length_disagreement_is_reported() {
         let mut cs = calls(2);
         cs[1].buf.push(0.0);
-        let err = complete(cs, None).err().expect("lengths differ");
+        let err = complete(cs, &[0, 1]).err().expect("lengths differ");
         assert!(
             err.starts_with("[collective-mismatch] world collective seq 0"),
             "{err}"
@@ -382,7 +377,7 @@ mod tests {
     fn operator_disagreement_is_reported() {
         let mut cs = calls(2);
         cs[1].opr = Some(ReduceOp::Max);
-        let err = complete(cs, Some(&[4, 9])).err().expect("operators differ");
+        let err = complete(cs, &[4, 9]).err().expect("operators differ");
         assert!(err.contains("rank 4 issued allreduce(Sum)"), "{err}");
         assert!(err.contains("rank 9 issued allreduce(Max)"), "{err}");
     }

@@ -65,7 +65,7 @@
 //! whatever order the host happened to run the threads.
 
 use std::collections::HashMap;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use crate::rendezvous::{complete, describe_instance, RdCall, RdPlan};
 use crate::tag::Tag;
@@ -112,18 +112,14 @@ enum NodeState {
 
 /// One collective instance's rendezvous: the members that have arrived.
 struct Rendezvous {
-    /// Member ranks by participant index (`None`: the world, index = rank).
-    members: Option<Vec<usize>>,
+    /// Member ranks by participant index.
+    members: Arc<[usize]>,
     /// Deposits by participant index.
     calls: Vec<Option<RdCall>>,
     arrived: usize,
 }
 
 impl Rendezvous {
-    fn rank_of(&self, index: usize) -> usize {
-        self.members.as_ref().map_or(index, |m| m[index])
-    }
-
     /// The first arrival's tag names the instance (op, communicator, seq).
     fn describe(&self) -> String {
         let tag = self
@@ -140,7 +136,7 @@ impl Rendezvous {
     fn missing(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.calls.len())
             .filter(|&i| self.calls[i].is_none())
-            .map(|i| self.rank_of(i))
+            .map(|i| self.members[i])
     }
 }
 
@@ -218,7 +214,7 @@ impl Scheduler {
 
     /// `rank` reaches a recursive-doubling collective: deposit `call` at
     /// the instance's rendezvous (`members` maps participant indices to
-    /// ranks, `None` for the world). Every member but the last parks until
+    /// ranks). Every member but the last parks until
     /// the last arrival completes the collective; the last one completes
     /// it for everybody and keeps the baton. Returns this member's plan
     /// and whether it parked.
@@ -229,14 +225,14 @@ impl Scheduler {
     pub(crate) fn rendezvous(
         &self,
         rank: usize,
-        members: Option<&[usize]>,
+        members: &Arc<[usize]>,
         call: RdCall,
     ) -> (RdPlan, bool) {
         let key = call.tag.instance();
         let vtime = call.clock;
         let mut g = self.lock();
         let rdv = g.rendezvous.entry(key).or_insert_with(|| Rendezvous {
-            members: members.map(<[usize]>::to_vec),
+            members: members.clone(),
             calls: (0..call.n).map(|_| None).collect(),
             arrived: 0,
         });
@@ -271,12 +267,11 @@ impl Scheduler {
             .into_iter()
             .map(|c| c.expect("every member arrived"))
             .collect();
-        let plans =
-            complete(calls, rdv.members.as_deref()).unwrap_or_else(|report| panic!("{report}"));
+        let plans = complete(calls, &rdv.members).unwrap_or_else(|report| panic!("{report}"));
         let mut mine = None;
         let mut g = self.lock();
         for (i, plan) in plans.into_iter().enumerate() {
-            let r = rdv.rank_of(i);
+            let r = rdv.members[i];
             if r == rank {
                 mine = Some(plan);
                 continue;
@@ -496,7 +491,7 @@ mod tests {
             });
         }
         let rdv = Rendezvous {
-            members: None,
+            members: (0..n).collect(),
             calls,
             arrived: arrived.len(),
         };

@@ -5,7 +5,7 @@
 //!
 //! * **user** tags — point-to-point solver traffic (SpMV ghost exchange,
 //!   redundancy copies, recovery gathers), identified by a small `u32`;
-//! * **collective** tags — internal to `parcomm` collectives. Every
+//! * **collective** tags — the world communicator's collectives. Every
 //!   collective call on a communicator consumes one *sequence number*; since
 //!   the programs are SPMD, all ranks issue collectives in the same order
 //!   and the sequence numbers agree without negotiation;
@@ -33,8 +33,10 @@ impl Tag {
         Tag((KIND_COLL << 62) | ((op as u64) << 48) | (seq & ((1 << 48) - 1)))
     }
 
-    /// A sub-communicator collective tag, scoped by `gid`.
+    /// A sub-communicator collective tag, scoped by `gid`: `seq` fills a
+    /// 22-bit field.
     pub fn group(gid: u32, op: u8, seq: u32) -> Self {
+        debug_assert!(seq < (1 << 22), "group collective sequence overflow");
         Tag((KIND_GROUP << 62) | ((gid as u64) << 30) | ((op as u64) << 22) | seq as u64)
     }
 
@@ -141,6 +143,15 @@ mod tests {
     fn collective_sequences_distinct() {
         assert_ne!(Tag::coll(op::BCAST, 1), Tag::coll(op::BCAST, 2));
         assert_ne!(Tag::coll(op::BCAST, 1), Tag::coll(op::REDUCE, 1));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "group collective sequence overflow")]
+    fn group_sequence_overflow_is_caught() {
+        // From 2^22 collectives on one group the sequence number would
+        // bleed into the operation bits.
+        let _ = Tag::group(1, op::ALLREDUCE, 1 << 22);
     }
 
     #[test]

@@ -251,7 +251,7 @@ fn full_protocol_workout_is_audit_clean() {
         ctx.audit_enter_window(0);
         let gsum = if ctx.rank() < 2 {
             let mut g = ctx.group(&[0, 1]);
-            g.allreduce_sum(ctx, 1.0)
+            g.allreduce_sum(ctx, 1.0, CommPhase::Recovery)
         } else {
             0.0
         };

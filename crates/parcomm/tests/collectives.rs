@@ -217,7 +217,7 @@ fn group_allreduce_on_nonpow2_group_is_bitwise_uniform() {
         if members.contains(&ctx.rank()) {
             let mut g = ctx.group(&members);
             let x = 1.0 / (ctx.rank() as f64 + 3.0) * 1e10 + 1e-10;
-            Some(g.allreduce_vec(ctx, ReduceOp::Sum, vec![x, -x]))
+            Some(g.allreduce_vec(ctx, ReduceOp::Sum, vec![x, -x], CommPhase::Recovery))
         } else {
             None
         }
@@ -366,7 +366,7 @@ fn run_pin(n: usize, case: &str) -> u64 {
             // all-reducing in the Reduction phase is the world all-reduce.
             "world_group_allreduce" => {
                 let all: Vec<usize> = (0..n).collect();
-                ctx.group(&all).allreduce_vec_phase(
+                ctx.group(&all).allreduce_vec(
                     ctx,
                     ReduceOp::Sum,
                     pin_input(r),
@@ -384,9 +384,11 @@ fn run_pin(n: usize, case: &str) -> u64 {
                 }
                 let mut g = ctx.group(&members);
                 match case.as_str() {
-                    "group_allreduce" => g.allreduce_vec(ctx, ReduceOp::Sum, pin_input(r)),
+                    "group_allreduce" => {
+                        g.allreduce_vec(ctx, ReduceOp::Sum, pin_input(r), CommPhase::Recovery)
+                    }
                     "group_iallreduce" => {
-                        let req = g.iallreduce_vec_phase(
+                        let req = g.iallreduce_vec(
                             ctx,
                             ReduceOp::Max,
                             pin_input(r),
@@ -396,7 +398,7 @@ fn run_pin(n: usize, case: &str) -> u64 {
                         req.wait(ctx)
                     }
                     _ => {
-                        g.barrier(ctx);
+                        g.barrier(ctx, CommPhase::Recovery);
                         Vec::new()
                     }
                 }
@@ -556,7 +558,7 @@ fn group_length_mismatch_names_the_group() {
         if ctx.rank() != 1 {
             let mut g = ctx.group(&[0, 2]);
             let len = 1 + ctx.rank();
-            g.allreduce_vec(ctx, ReduceOp::Sum, vec![1.0; len]);
+            g.allreduce_vec(ctx, ReduceOp::Sum, vec![1.0; len], CommPhase::Recovery);
         }
     });
     assert!(msg.contains("[collective-mismatch] group 0x"), "{msg}");

@@ -67,8 +67,8 @@ fn group_iallreduce_bitwise_matches_group_allreduce() {
         let x = 1.0 / (ctx.rank() as f64 + 0.3) * 1e8 + 1e-8;
         let buf = vec![x, -x * 0.7, x * x];
         let mut g = ctx.group(&members[..]);
-        let blocking = g.allreduce_vec_phase(ctx, ReduceOp::Sum, buf.clone(), CommPhase::Reduction);
-        let req = g.iallreduce_vec_phase(ctx, ReduceOp::Sum, buf, CommPhase::Reduction);
+        let blocking = g.allreduce_vec(ctx, ReduceOp::Sum, buf.clone(), CommPhase::Reduction);
+        let req = g.iallreduce_vec(ctx, ReduceOp::Sum, buf, CommPhase::Reduction);
         let nonblocking = req.wait(ctx);
         Some((blocking, nonblocking))
     });
@@ -96,7 +96,7 @@ fn group_iallreduce_overlap_charges_only_exposed_time() {
         }
         let mut g = ctx.group(&[0, 1, 2]);
         let t0 = ctx.vtime();
-        let req = g.iallreduce_vec_phase(
+        let req = g.iallreduce_vec(
             ctx,
             ReduceOp::Sum,
             vec![ctx.rank() as f64],
