@@ -4,7 +4,7 @@
 //! The world is the [`Group`] of all ranks ([`NodeCtx::world`]). Every
 //! collective has one body, in [`crate::group`]; the world methods here
 //! (`allreduce_sum`, `barrier`, `bcast`, …) are one-line delegations that
-//! fix the world's historical accounting phases. All handles to the world
+//! fix the world's accounting phases. All handles to the world
 //! draw from this node's one collective sequence counter.
 
 use std::collections::HashMap;

@@ -86,10 +86,9 @@ impl RdPlan {
 }
 
 /// Run the schedule for all `calls` (in participant-index order; `members`
-/// maps indices to global ranks). Returns each
-/// member's plan in the same order, or — when the members disagree on the
-/// operation, operator, size or length — the `[collective-mismatch]`
-/// report.
+/// maps indices to global ranks). Returns each member's plan in the same
+/// order, or — when the members disagree on the operation, operator, size
+/// or length — the `[collective-mismatch]` report.
 pub(crate) fn complete(calls: Vec<RdCall>, members: &[usize]) -> Result<Vec<RdPlan>, String> {
     check_agreement(&calls, members)?;
     let n = calls.len();

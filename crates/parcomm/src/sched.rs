@@ -214,10 +214,10 @@ impl Scheduler {
 
     /// `rank` reaches a recursive-doubling collective: deposit `call` at
     /// the instance's rendezvous (`members` maps participant indices to
-    /// ranks). Every member but the last parks until
-    /// the last arrival completes the collective; the last one completes
-    /// it for everybody and keeps the baton. Returns this member's plan
-    /// and whether it parked.
+    /// ranks). Every member but the last parks until the last arrival
+    /// completes the collective; the last one completes it for everybody
+    /// and keeps the baton. Returns this member's plan and whether it
+    /// parked.
     ///
     /// # Panics
     /// Panics with a `[collective-mismatch]` report when the members
