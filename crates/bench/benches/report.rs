@@ -94,12 +94,12 @@ const BASELINE_PCG: &[(usize, usize, f64)] = &[
     (16, 43, 2.9346e-5),
 ];
 
-/// PR 5 reference-PCG timings (M1, default cost model, default scale),
-/// captured before any instrumentation layer existed and still exact
-/// through PR 7. The `audit` and `trace` features must be zero-cost when
-/// compiled **off**: every instrumentation point is behind its
-/// `#[cfg(feature = ...)]` (or reads the clock without advancing it), so a
-/// build with both features off must reproduce these *bitwise* — equality
+/// Reference-PCG timings (M1, default cost model, default scale),
+/// captured before any instrumentation layer existed. The `trace` feature
+/// must be zero-cost when compiled **off**: every instrumentation point is
+/// behind its `#[cfg(feature = ...)]` (or reads the clock without
+/// advancing it), so a build with the feature off must reproduce these
+/// *bitwise* — equality
 /// of `f64::to_bits`, not a tolerance. Virtual times are deterministic, so
 /// any drift is a real hot-path change.
 const INSTR_OFF_PCG: &[(usize, usize, f64)] = &[
@@ -198,13 +198,12 @@ fn comm_report(cfgb: &BenchConfig, nodes: &[usize]) -> String {
     )
 }
 
-/// Whether the instrumentation-off bitwise guard applies: both observation
-/// features must be compiled out and the run must use the baseline
+/// Whether the instrumentation-off bitwise guard applies: the `trace`
+/// feature must be compiled out and the run must use the baseline
 /// configuration.
 fn instr_guard_applicable(cfgb: &BenchConfig) -> bool {
     let d = parcomm::CostModel::default();
-    cfg!(not(feature = "audit"))
-        && cfg!(not(feature = "trace"))
+    cfg!(not(feature = "trace"))
         && cfgb.scale == 0.01
         && cfgb.cost.lambda == d.lambda
         && cfgb.cost.mu == d.mu
@@ -239,7 +238,7 @@ fn pcg_report(cfgb: &BenchConfig, nodes: &[usize]) -> (String, Vec<(usize, Exper
                     vt.to_bits(),
                     bvt.to_bits(),
                     "N={n}: vtime/iter {vt:e} != instrumentation-off baseline {bvt:e} — \
-                     the audit/trace features must be zero-cost when compiled out"
+                     the trace feature must be zero-cost when compiled out"
                 );
                 guarded += 1;
             }
@@ -291,9 +290,8 @@ fn pcg_report(cfgb: &BenchConfig, nodes: &[usize]) -> (String, Vec<(usize, Exper
         println!("instrumentation-off bitwise guard: {guarded} case(s) matched the pinned baselines exactly");
     }
     let json = format!(
-        "{{\n  \"schema\": \"esr-bench/pcg/v1\",\n  \"matrix\": \"M1\",\n  \"scale\": {},\n  \"solver\": \"reference PCG, fused rr+rz reduction (2 allreduces/iter)\",\n  \"instrumentation_zero_cost\": {{\"audit_feature_compiled\": {}, \"trace_feature_compiled\": {}, \"bitwise_guard_cases\": {guarded}}},\n  \"cost_model\": {{\"lambda\": {}, \"mu\": {}, \"gamma\": {}}},\n  \"cases\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"esr-bench/pcg/v1\",\n  \"matrix\": \"M1\",\n  \"scale\": {},\n  \"solver\": \"reference PCG, fused rr+rz reduction (2 allreduces/iter)\",\n  \"instrumentation_zero_cost\": {{\"trace_feature_compiled\": {}, \"bitwise_guard_cases\": {guarded}}},\n  \"cost_model\": {{\"lambda\": {}, \"mu\": {}, \"gamma\": {}}},\n  \"cases\": [\n{}\n  ]\n}}\n",
         json_f(cfgb.scale),
-        cfg!(feature = "audit"),
         cfg!(feature = "trace"),
         json_f(cfgb.cost.lambda),
         json_f(cfgb.cost.mu),

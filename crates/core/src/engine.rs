@@ -463,10 +463,10 @@ pub(crate) fn recover(
         attempts += 1;
         let seq = *recovery_seq;
         *recovery_seq += 1;
-        // Declare this attempt's tag window to the protocol auditor: all
+        // Declare this attempt's tag window to the protocol checks: all
         // recovery traffic issued from here until the matching exit belongs
         // to attempt `seq`, and must never match a receive posted under a
-        // different attempt (no-op without the `audit` feature).
+        // different attempt (no-op without the `trace` feature).
         ctx.audit_enter_window(seq);
         ctx.trace_open("attempt", seq as u64);
         let mut seg_t = ctx.vtime();

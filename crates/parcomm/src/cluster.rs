@@ -18,29 +18,30 @@ use std::thread;
 use crate::comm::NodeCtx;
 use crate::fault::{FailureScript, FaultOracle};
 use crate::mailbox::Mailbox;
-#[cfg(any(debug_assertions, feature = "audit"))]
-use crate::payload::Message;
 use crate::sched::Scheduler;
 use crate::vclock::{CostModel, VClock};
 
 /// What a node thread hands back at teardown: the program's result (or its
 /// panic payload), the mailbox (so the harness can inspect residue), and —
-/// under `--features audit` — the node's protocol log.
+/// under `--features trace` — the node's event log.
 struct NodeFinish<T> {
     result: thread::Result<T>,
     mailbox: Mailbox,
-    #[cfg(feature = "audit")]
-    log: Option<crate::audit::NodeLog>,
     #[cfg(feature = "trace")]
     trace: Option<crate::trace::NodeTrace>,
 }
 
 /// What `run_inner` hands back next to the per-node results: the gathered
-/// per-rank trace logs under `--features trace`, nothing otherwise.
+/// trace under `--features trace`, nothing otherwise.
 #[cfg(feature = "trace")]
-type TraceVec = Vec<crate::trace::NodeTrace>;
+type Trace = crate::trace::ClusterTrace;
 #[cfg(not(feature = "trace"))]
-type TraceVec = ();
+type Trace = ();
+
+/// Cap on reported protocol violations, so a systemic bug does not produce
+/// a megabyte-sized panic message.
+#[cfg(any(debug_assertions, feature = "trace"))]
+const MAX_REPORTED: usize = 20;
 
 /// Cluster-wide configuration.
 #[derive(Clone, Debug)]
@@ -161,11 +162,10 @@ impl Cluster {
         T: Send,
         F: Fn(&mut NodeCtx) -> T + Sync,
     {
-        let (values, nodes) = Self::run_inner(config, program);
-        (values, crate::trace::ClusterTrace { nodes })
+        Self::run_inner(config, program)
     }
 
-    fn run_inner<T, F>(config: ClusterConfig, program: F) -> (Vec<T>, TraceVec)
+    fn run_inner<T, F>(config: ClusterConfig, program: F) -> (Vec<T>, Trace)
     where
         T: Send,
         F: Fn(&mut NodeCtx) -> T + Sync,
@@ -217,8 +217,6 @@ impl Cluster {
                                 spares,
                             );
                             ctx.install_sched(sched.clone());
-                            #[cfg(feature = "audit")]
-                            ctx.install_audit();
                             #[cfg(feature = "trace")]
                             ctx.install_trace();
                             // The baton wait sits inside catch_unwind: a
@@ -238,12 +236,9 @@ impl Cluster {
                             }
                             #[cfg(feature = "trace")]
                             let trace = ctx.take_trace();
-                            let (mailbox, _log) = ctx.into_teardown();
                             NodeFinish {
                                 result,
-                                mailbox,
-                                #[cfg(feature = "audit")]
-                                log: _log,
+                                mailbox: ctx.into_mailbox(),
                                 #[cfg(feature = "trace")]
                                 trace,
                             }
@@ -264,12 +259,9 @@ impl Cluster {
 
             let mut values = Vec::with_capacity(n);
             let mut panics: Vec<(usize, String)> = Vec::new();
-            #[cfg(feature = "audit")]
-            let mut logs: Vec<crate::audit::NodeLog> = Vec::with_capacity(n);
+            let mut mailboxes: Vec<Mailbox> = Vec::with_capacity(n);
             #[cfg(feature = "trace")]
-            let mut traces: TraceVec = Vec::with_capacity(n);
-            #[cfg(any(debug_assertions, feature = "audit"))]
-            let mut end_mailboxes: Vec<Mailbox> = Vec::with_capacity(n);
+            let mut trace = Trace::default();
             for (rank, fin) in finishes.into_iter().enumerate() {
                 match fin.result {
                     Ok(v) => values.push(v),
@@ -283,64 +275,15 @@ impl Cluster {
                         panics.push((rank, msg));
                     }
                 }
-                #[cfg(any(debug_assertions, feature = "audit"))]
-                end_mailboxes.push(fin.mailbox);
-                #[cfg(not(any(debug_assertions, feature = "audit")))]
-                drop(fin.mailbox);
-                #[cfg(feature = "audit")]
-                logs.push(fin.log.unwrap_or_default());
+                mailboxes.push(fin.mailbox);
                 #[cfg(feature = "trace")]
-                traces.push(fin.trace.unwrap_or_default());
+                trace.nodes.push(fin.trace.unwrap_or_default());
             }
-            #[cfg(any(debug_assertions, feature = "audit"))]
-            let clean = panics.is_empty();
+            #[cfg(not(feature = "trace"))]
+            let trace = ();
 
-            // Mailbox-drain inspection: a message still sitting in a queue at
-            // teardown is a protocol leak. Only meaningful on clean runs — a
-            // panic legitimately strands in-flight traffic.
-            #[cfg(any(debug_assertions, feature = "audit"))]
-            let leaks: Vec<(usize, Message)> = if clean {
-                let mut leaks = Vec::new();
-                for (rank, mb) in end_mailboxes.iter_mut().enumerate() {
-                    for m in mb.drain_residue() {
-                        leaks.push((rank, m));
-                    }
-                }
-                leaks
-            } else {
-                Vec::new()
-            };
-
-            #[cfg(feature = "audit")]
-            {
-                let violations = crate::audit::check_teardown(&logs, &leaks, clean);
-                if !violations.is_empty() {
-                    let mut report =
-                        format!("parcomm audit: {} protocol violation(s):", violations.len());
-                    for v in &violations {
-                        report.push_str("\n  ");
-                        report.push_str(v);
-                    }
-                    if let Some((rank, msg)) = panics.first() {
-                        report.push_str(&format!("\n  (node {rank} also panicked: {msg})"));
-                    }
-                    panic!("{report}");
-                }
-            }
-
-            // Without the auditor, debug builds still refuse to let a leak
-            // pass silently (release keeps the hot path assertion-free).
-            #[cfg(all(debug_assertions, not(feature = "audit")))]
-            if let Some((rank, m)) = leaks.first() {
-                panic!(
-                    "mailbox residue at cluster teardown: rank {rank} holds an \
-                     unconsumed message from rank {} (tag {}, {} elems); \
-                     every send must be matched by a receive",
-                    m.src,
-                    m.tag.describe(),
-                    m.payload.elems()
-                );
-            }
+            #[cfg(any(debug_assertions, feature = "trace"))]
+            check_protocol(&mut mailboxes, &trace, &panics);
 
             // If any node panicked, report the *root cause* (a real panic)
             // rather than a secondary "peer aborted" one.
@@ -351,12 +294,42 @@ impl Cluster {
             {
                 panic!("node {rank} panicked: {msg}");
             }
-            #[cfg(feature = "trace")]
-            return (values, traces);
-            #[cfg(not(feature = "trace"))]
-            (values, ())
+            (values, trace)
         })
     }
+}
+
+/// The teardown protocol checks, in debug and `trace` builds: message
+/// drain on every mailbox (skipped when a node panicked, since a panic
+/// legitimately strands in-flight traffic) and, under `trace`, the
+/// recorded receives' ordering and recovery windows
+/// ([`crate::trace::ClusterTrace::protocol_violations`]). Every send has
+/// landed by now, so the checks are deterministic. Panics with the list
+/// of violations.
+#[cfg(any(debug_assertions, feature = "trace"))]
+fn check_protocol(mailboxes: &mut [Mailbox], trace: &Trace, panics: &[(usize, String)]) {
+    let mut violations = Vec::new();
+    if panics.is_empty() {
+        for mb in mailboxes {
+            violations.extend(mb.drain_violations());
+        }
+    }
+    #[cfg(feature = "trace")]
+    violations.extend(trace.protocol_violations());
+    #[cfg(not(feature = "trace"))]
+    let _ = trace;
+    if violations.is_empty() {
+        return;
+    }
+    let mut report = format!("parcomm audit: {} protocol violation(s):", violations.len());
+    for v in violations.iter().take(MAX_REPORTED) {
+        report.push_str("\n  ");
+        report.push_str(v);
+    }
+    if let Some((rank, msg)) = panics.first() {
+        report.push_str(&format!("\n  (node {rank} also panicked: {msg})"));
+    }
+    panic!("{report}");
 }
 
 #[cfg(test)]
@@ -548,9 +521,10 @@ mod tests {
     #[test]
     fn world_handles_share_one_sequence_counter() {
         // A world handle taken before a `NodeCtx` barrier must draw the
-        // next world sequence number, not reuse the barrier's. Under the
-        // `audit` feature a reused number is reported as a barrier and an
-        // all-reduce issued at one world collective instance.
+        // next world sequence number, not reuse the barrier's. A reused
+        // number would put a barrier and an all-reduce at one world
+        // collective instance, which the rendezvous reports as a
+        // `[collective-mismatch]`.
         let out = Cluster::run(ClusterConfig::new(3), |ctx| {
             let mut world = ctx.world();
             assert_eq!((world.size(), world.index()), (3, ctx.rank()));
@@ -665,8 +639,8 @@ mod tests {
     #[should_panic(expected = "[deadlock] wait-for cycle")]
     fn cross_recv_deadlock_reported_in_every_build() {
         // Rank 0 and rank 1 each wait for the other: the scheduler runs
-        // out of runnable nodes and names the cycle instantly — no audit
-        // feature, no timeout.
+        // out of runnable nodes and names the cycle instantly, with no
+        // timeout.
         Cluster::run(ClusterConfig::new(2), |ctx| {
             let peer = 1 - ctx.rank();
             ctx.recv(peer, 1);
@@ -685,15 +659,15 @@ mod tests {
         });
     }
 
-    /// Run a program that must deadlock; return the cluster's panic text.
-    fn deadlock_message<F>(n: usize, program: F) -> String
+    /// Run a program that must fail; return the cluster's panic text.
+    fn panic_message<F>(n: usize, program: F) -> String
     where
         F: Fn(&mut NodeCtx) + Sync,
     {
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             Cluster::run(ClusterConfig::new(n), &program);
         }))
-        .expect_err("the program deadlocks");
+        .expect_err("the program fails");
         err.downcast_ref::<String>()
             .cloned()
             .unwrap_or_else(|| "<non-string panic>".to_string())
@@ -702,7 +676,7 @@ mod tests {
     #[test]
     fn collective_missing_a_terminated_member_is_reported() {
         // Rank 2 returns without calling the all-reduce its peers wait in.
-        let msg = deadlock_message(3, |ctx| {
+        let msg = panic_message(3, |ctx| {
             if ctx.rank() != 2 {
                 ctx.allreduce_sum(1.0);
             }
@@ -727,7 +701,7 @@ mod tests {
     fn barrier_behind_a_recv_cycle_is_reported() {
         // Ranks 0 and 1 wait in a barrier for ranks 2 and 3, which wait
         // for each other in receives.
-        let msg = deadlock_message(4, |ctx| {
+        let msg = panic_message(4, |ctx| {
             if ctx.rank() < 2 {
                 ctx.barrier();
             } else {
@@ -756,7 +730,7 @@ mod tests {
     #[test]
     fn group_collective_names_its_communicator() {
         // Rank 3 belongs to the group but never joins its all-reduce.
-        let msg = deadlock_message(4, |ctx| {
+        let msg = panic_message(4, |ctx| {
             if ctx.rank() == 1 || ctx.rank() == 3 {
                 let mut g = ctx.group(&[1, 3]);
                 if ctx.rank() == 1 {
@@ -769,6 +743,25 @@ mod tests {
             "{msg}"
         );
         assert!(msg.contains("never arrived: rank 3 (terminated)"), "{msg}");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn unreceived_message_is_reported_at_teardown() {
+        // Rank 2 sends a message no receive ever matches.
+        let msg = panic_message(3, |ctx| {
+            if ctx.rank() == 2 {
+                ctx.send(1, 6, Payload::F64(1.0), CommPhase::Other);
+            }
+        });
+        assert!(
+            msg.contains("parcomm audit: 1 protocol violation(s):"),
+            "{msg}"
+        );
+        assert!(
+            msg.contains("[message-drain] rank 1: unconsumed message from rank 2 (tag user(6)"),
+            "{msg}"
+        );
     }
 
     #[test]

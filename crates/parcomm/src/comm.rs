@@ -10,8 +10,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-#[cfg(feature = "audit")]
-use crate::audit;
 use crate::fault::{FailAt, FaultOracle};
 use crate::group::Group;
 use crate::mailbox::{Mailbox, Outbox};
@@ -79,8 +77,6 @@ pub struct NodeCtx {
     /// tests): sends notify it so a blocked matching receiver becomes
     /// runnable.
     sched: Option<std::sync::Arc<crate::sched::Scheduler>>,
-    #[cfg(feature = "audit")]
-    audit: Option<Box<audit::AuditState>>,
     #[cfg(feature = "trace")]
     trace: Option<Box<crate::trace::TraceState>>,
 }
@@ -108,8 +104,6 @@ impl NodeCtx {
             group_counters: HashMap::new(),
             spares,
             sched: None,
-            #[cfg(feature = "audit")]
-            audit: None,
             #[cfg(feature = "trace")]
             trace: None,
         }
@@ -123,7 +117,7 @@ impl NodeCtx {
     }
 
     /// Surrender this node's trace log (called at teardown, before
-    /// [`NodeCtx::into_teardown`]).
+    /// [`NodeCtx::into_mailbox`]).
     #[cfg(feature = "trace")]
     pub(crate) fn take_trace(&mut self) -> Option<crate::trace::NodeTrace> {
         self.trace.take().map(|t| t.into_log())
@@ -137,70 +131,36 @@ impl NodeCtx {
         self.sched = Some(sched);
     }
 
-    /// Attach the protocol auditor (this node's event log). Called by
-    /// `Cluster::run` before the program.
-    #[cfg(feature = "audit")]
-    pub(crate) fn install_audit(&mut self) {
-        self.audit = Some(Box::new(audit::AuditState::new(self.rank)));
-    }
-
-    /// Surrender the mailbox (for the cluster's teardown drain check) and
-    /// the audit event log, consuming the context.
-    #[cfg(feature = "audit")]
-    pub(crate) fn into_teardown(self) -> (Mailbox, Option<audit::NodeLog>) {
-        (self.mailbox, self.audit.map(|a| a.into_log()))
-    }
-
-    #[cfg(not(feature = "audit"))]
-    pub(crate) fn into_teardown(self) -> (Mailbox, Option<()>) {
-        (self.mailbox, None)
-    }
-
-    /// Record a matched receive into the audit log (no-op without the
-    /// `audit` feature — keeps call sites feature-agnostic).
-    #[cfg(feature = "audit")]
-    fn audit_recv(&mut self, m: &Message) {
-        if let Some(a) = &mut self.audit {
-            a.record_recv(m);
-        }
-    }
-
-    #[cfg(not(feature = "audit"))]
-    #[inline(always)]
-    fn audit_recv(&mut self, _m: &Message) {}
-
-    /// Record a collective call into the audit log.
-    #[cfg(feature = "audit")]
-    pub(crate) fn audit_coll(&mut self, ev: audit::CollEvent) {
-        if let Some(a) = &mut self.audit {
-            a.record_coll(ev);
-        }
+    /// Surrender the mailbox (for the cluster's teardown drain check),
+    /// consuming the context.
+    pub(crate) fn into_mailbox(self) -> Mailbox {
+        self.mailbox
     }
 
     /// Declare entry into recovery-attempt tag window `id` (a no-op without
-    /// the `audit` feature). The engine calls this at the top of each
+    /// the `trace` feature). The engine calls this at the top of each
     /// recovery attempt; receives issued until the matching
     /// [`NodeCtx::audit_exit_window`] must only match messages sent inside
     /// the same window. Entering a new window while one is open closes the
     /// old one (an aborted attempt), including its residue check.
     pub fn audit_enter_window(&mut self, id: u32) {
-        #[cfg(feature = "audit")]
-        if let Some(a) = &mut self.audit {
-            if let Some(prev) = a.window.replace(id) {
+        #[cfg(feature = "trace")]
+        if let Some(tr) = &mut self.trace {
+            if let Some(prev) = tr.window.replace(id) {
                 self.mailbox.scan_window_residue(prev);
             }
         }
-        #[cfg(not(feature = "audit"))]
+        #[cfg(not(feature = "trace"))]
         let _ = id;
     }
 
     /// Close the current recovery-attempt tag window (no-op without the
-    /// `audit` feature): checks that no message stamped with the closing
+    /// `trace` feature): checks that no message stamped with the closing
     /// window remains unconsumed in this node's mailbox.
     pub fn audit_exit_window(&mut self) {
-        #[cfg(feature = "audit")]
-        if let Some(a) = &mut self.audit {
-            if let Some(prev) = a.window.take() {
+        #[cfg(feature = "trace")]
+        if let Some(tr) = &mut self.trace {
+            if let Some(prev) = tr.window.take() {
                 self.mailbox.scan_window_residue(prev);
             }
         }
@@ -276,7 +236,9 @@ impl NodeCtx {
         }
     }
 
-    /// Record a receive event with its per-`(src, tag)` sequence number.
+    /// Record a receive event: the send number and window `msg` carries,
+    /// or, for a rendezvous round (`msg: None`), the next per-`(src, tag)`
+    /// count and this node's own window.
     #[cfg(feature = "trace")]
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn trace_recv_event(
@@ -288,9 +250,14 @@ impl NodeCtx {
         t: f64,
         stall: f64,
         engine: bool,
+        msg: Option<&Message>,
     ) {
         if let Some(tr) = &mut self.trace {
-            let seq = tr.next_recv_seq(src, tag);
+            let window = tr.window;
+            let (seq, sent_in) = match msg {
+                Some(m) => (m.stamp.seq, m.stamp.window),
+                None => (tr.next_recv_seq(src, tag), window),
+            };
             tr.record(
                 t,
                 crate::trace::TraceEventKind::Recv {
@@ -299,6 +266,8 @@ impl NodeCtx {
                     tag,
                     elems,
                     seq,
+                    sent_in,
+                    window,
                     stall,
                     engine,
                 },
@@ -321,10 +290,10 @@ impl NodeCtx {
         }
     }
 
-    /// Test double: reintroduce the PR 2 `swap_remove` FIFO defect in this
-    /// node's mailbox, to prove the auditor's non-overtaking check fires.
+    /// Test double: reintroduce the historical `swap_remove` FIFO defect in
+    /// this node's mailbox, to prove the non-overtaking check fires.
     #[doc(hidden)]
-    #[cfg(feature = "audit")]
+    #[cfg(feature = "trace")]
     pub fn audit_seed_fifo_bug(&mut self) {
         self.mailbox.seed_fifo_bug();
     }
@@ -371,6 +340,7 @@ impl NodeCtx {
 
     /// Charge a blocking receive of a message from `src` stamped
     /// `arrival_vtime`: the stall until it arrives, statistics and trace.
+    /// `msg` is the consumed message (`None` for a rendezvous round).
     fn charge_recv(
         &mut self,
         src: usize,
@@ -378,28 +348,31 @@ impl NodeCtx {
         elems: usize,
         arrival_vtime: f64,
         phase: CommPhase,
+        msg: Option<&Message>,
     ) {
         #[cfg(feature = "trace")]
         let t0 = self.clock.now();
         let stall = self.clock.absorb_arrival(arrival_vtime);
         self.stats.record_wait_vtime(phase, stall);
         #[cfg(feature = "trace")]
-        self.trace_recv_event(phase, src, tag, elems, t0, stall, false);
+        self.trace_recv_event(phase, src, tag, elems, t0, stall, false, msg);
         #[cfg(not(feature = "trace"))]
-        let _ = (src, tag, elems);
+        let _ = (src, tag, elems, msg);
     }
 
     /// Deliver a message with an explicit arrival stamp, touching neither
     /// the clock nor the statistics — the primitive beneath both the
     /// blocking path (which charges the sender first) and the non-blocking
-    /// engine (which stamps with its own detached timeline).
+    /// engine (which stamps with its own detached timeline). Under `trace`
+    /// the caller has just recorded the `Send` event, and the message
+    /// carries that event's send number.
     pub(crate) fn raw_send(&mut self, dest: usize, tag: Tag, payload: Payload, arrival_vtime: f64) {
         debug_assert_ne!(dest, self.rank, "self-send is a protocol bug");
         #[allow(unused_mut)]
         let mut msg = Message::new(self.rank, tag, payload, arrival_vtime);
-        #[cfg(feature = "audit")]
-        if let Some(a) = &mut self.audit {
-            msg.stamp = a.stamp_send(dest, tag);
+        #[cfg(feature = "trace")]
+        if let Some(tr) = &self.trace {
+            msg.stamp = tr.last_send_stamp(dest, tag);
         }
         // A closed channel means the peer thread panicked; propagate.
         self.outboxes[dest]
@@ -424,7 +397,6 @@ impl NodeCtx {
         let now = self.clock.now();
         let (m, parks) = self.mailbox.recv_matching(src, tag, now);
         self.stats.record_parks(parks);
-        self.audit_recv(&m);
         m
     }
 
@@ -506,7 +478,14 @@ impl NodeCtx {
 
     pub(crate) fn recv_tag(&mut self, src: usize, tag: Tag, phase: CommPhase) -> Message {
         let m = self.raw_recv_blocking(src, tag);
-        self.charge_recv(src, tag, m.payload.elems(), m.arrival_vtime, phase);
+        self.charge_recv(
+            src,
+            tag,
+            m.payload.elems(),
+            m.arrival_vtime,
+            phase,
+            Some(&m),
+        );
         m
     }
 
@@ -520,6 +499,7 @@ impl NodeCtx {
             m.payload.elems(),
             m.arrival_vtime,
             CommPhase::Other,
+            Some(&m),
         );
         (m.src, m.payload)
     }
@@ -700,7 +680,7 @@ impl NodeCtx {
                 self.charge_send(r.peer, coll.tag, plan.elems, coll.phase);
             }
             if let Some(arrival) = r.recv {
-                self.charge_recv(r.peer, coll.tag, plan.elems, arrival, coll.phase);
+                self.charge_recv(r.peer, coll.tag, plan.elems, arrival, coll.phase, None);
             }
             self.trace_close();
         }
@@ -730,7 +710,9 @@ impl NodeCtx {
                     now = arrival;
                 }
                 #[cfg(feature = "trace")]
-                self.trace_recv_event(coll.phase, r.peer, coll.tag, plan.elems, now, 0.0, true);
+                self.trace_recv_event(
+                    coll.phase, r.peer, coll.tag, plan.elems, now, 0.0, true, None,
+                );
             }
             self.trace_close();
         }

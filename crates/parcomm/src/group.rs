@@ -23,17 +23,14 @@
 //! the numerical experiments.
 //!
 //! The communicator's scope changes only names and numbering. The world's
-//! collectives carry [`Tag::coll`] tags, `"allreduce"`-style trace spans
-//! and audit scope `None`, and draw their sequence numbers from the node's
-//! one world counter, which every handle to the world shares. A
-//! sub-communicator's carry [`Tag::group`] tags scoped by its gid,
-//! `"group_*"` spans and audit scope `Some(gid)`, and number from the
-//! group's own counter.
+//! collectives carry [`Tag::coll`] tags and `"allreduce"`-style trace
+//! spans, and draw their sequence numbers from the node's one world
+//! counter, which every handle to the world shares. A sub-communicator's
+//! carry [`Tag::group`] tags scoped by its gid and `"group_*"` spans, and
+//! number from the group's own counter.
 
 use std::sync::Arc;
 
-#[cfg(feature = "audit")]
-use crate::audit;
 use crate::comm::{NodeCtx, RdColl, ReduceOp};
 use crate::payload::Payload;
 use crate::request::AllreduceRequest;
@@ -140,16 +137,9 @@ impl Group {
     }
 
     /// Start a collective call: draw its instance (tag for operation
-    /// `kind`, and sequence number) and record it with the protocol
-    /// auditor (a no-op without the `audit` feature).
-    fn start(
-        &mut self,
-        ctx: &mut NodeCtx,
-        kind: u8,
-        rop: Option<ReduceOp>,
-        len: Option<usize>,
-    ) -> (Tag, u64) {
-        let (tag, seq) = match self.gid {
+    /// `kind`, and sequence number).
+    fn start(&mut self, ctx: &mut NodeCtx, kind: u8) -> (Tag, u64) {
+        match self.gid {
             None => {
                 let seq = ctx.next_world_seq();
                 (Tag::coll(kind, seq), seq)
@@ -159,24 +149,7 @@ impl Group {
                 self.seq += 1;
                 (Tag::group(gid, kind, seq), u64::from(seq))
             }
-        };
-        // Scoped by communicator, so the checker compares schedules
-        // member-against-member, never across communicators.
-        #[cfg(feature = "audit")]
-        ctx.audit_coll(audit::CollEvent {
-            scope: self.gid,
-            seq,
-            kind,
-            rop,
-            len,
-            members_hash: self
-                .gid
-                .map_or(audit::WORLD_HASH, |_| fnv1a(&self.members).into()),
-            n_members: self.size(),
-        });
-        #[cfg(not(feature = "audit"))]
-        let _ = (rop, len);
-        (tag, seq)
+        }
     }
 
     /// A collective's trace span name: `world` on the world, `group` on a
@@ -204,7 +177,7 @@ impl Group {
     /// recursive-doubling exchange, so every member transitively absorbs
     /// every other member's clock in ⌈log₂n⌉(+2) rounds.
     pub fn barrier(&mut self, ctx: &mut NodeCtx, phase: CommPhase) {
-        let (tag, seq) = self.start(ctx, op::BARRIER, None, Some(0));
+        let (tag, seq) = self.start(ctx, op::BARRIER);
         ctx.trace_open(self.span("barrier", "group_barrier"), seq);
         ctx.rd_blocking(self.rd(tag, None, phase), Vec::new());
         ctx.trace_close();
@@ -227,7 +200,7 @@ impl Group {
         x: Vec<f64>,
         phase: CommPhase,
     ) -> Vec<f64> {
-        let (tag, seq) = self.start(ctx, op::ALLREDUCE, Some(opr), Some(x.len()));
+        let (tag, seq) = self.start(ctx, op::ALLREDUCE);
         ctx.trace_open(self.span("allreduce", "group_allreduce"), seq);
         let (acc, rounds) = ctx.rd_blocking(self.rd(tag, Some(opr), phase), x);
         ctx.trace_close();
@@ -251,7 +224,7 @@ impl Group {
         x: Vec<f64>,
         phase: CommPhase,
     ) -> AllreduceRequest {
-        let (tag, seq) = self.start(ctx, op::ALLREDUCE, Some(opr), Some(x.len()));
+        let (tag, seq) = self.start(ctx, op::ALLREDUCE);
         ctx.trace_open(self.span("iallreduce", "group_iallreduce"), seq);
         let start = ctx.clock().now();
         let (acc, rounds, done_at) = ctx.rd_engine(self.rd(tag, Some(opr), phase), x);
@@ -270,9 +243,7 @@ impl Group {
         payload: Payload,
         phase: CommPhase,
     ) -> Payload {
-        // Only the root knows the length up front; leaves record None and
-        // the checker compares lengths among declared values only.
-        let (tag, seq) = self.start(ctx, op::BCAST, None, None);
+        let (tag, seq) = self.start(ctx, op::BCAST);
         let n = self.size();
         // The one trace difference between scopes beyond naming: a
         // one-member sub-communicator records no span, the world does.
@@ -337,8 +308,7 @@ impl Group {
         x: Vec<f64>,
         phase: CommPhase,
     ) -> Option<Vec<Vec<f64>>> {
-        // Ragged by design: no length to agree on.
-        let (tag, seq) = self.start(ctx, op::GATHER, None, None);
+        let (tag, seq) = self.start(ctx, op::GATHER);
         ctx.trace_open(self.span("gather", "group_gather"), seq);
         let out = self.gather(ctx, root, tag, x, phase);
         ctx.trace_close();
@@ -394,7 +364,7 @@ impl Group {
         gather: CommPhase,
         bcast: CommPhase,
     ) -> Vec<Vec<T>> {
-        let (tag, seq) = self.start(ctx, op::GATHER, None, None);
+        let (tag, seq) = self.start(ctx, op::GATHER);
         ctx.trace_open(self.span("gather", "group_gather"), seq);
         let gathered = self.gather(ctx, 0, tag, x, gather);
         let nested = self.gid.is_some();
@@ -455,7 +425,7 @@ impl Group {
             self.size(),
             "alltoallv needs one list per member"
         );
-        let (tag, seq) = self.start(ctx, op::ALLTOALL, None, None);
+        let (tag, seq) = self.start(ctx, op::ALLTOALL);
         ctx.trace_open(self.span("alltoall", "group_alltoall"), seq);
         let me = self.my_index;
         for (i, data) in sends.iter_mut().enumerate() {

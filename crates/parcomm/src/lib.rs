@@ -51,8 +51,6 @@
 // the numeric kernels in this crate; iterator-zip pyramids obscure the math.
 #![allow(clippy::needless_range_loop)]
 
-#[cfg(feature = "audit")]
-pub mod audit;
 pub mod cluster;
 pub mod comm;
 pub mod fault;

@@ -11,8 +11,7 @@
 //! runnable node and wakes this one when a matching send arrives. A receive
 //! that can *never* match — a wait-for cycle, or a wait on a terminated
 //! rank — is detected the moment the cluster runs out of runnable nodes and
-//! panics with the exact wait-for chain spelled out (in every build, not
-//! just under `--features audit`).
+//! panics with the exact wait-for chain spelled out, in every build.
 //!
 //! A standalone mailbox (no scheduler installed — unit tests drive it
 //! directly) panics immediately on a would-block receive: with no peers to
@@ -33,9 +32,9 @@ pub struct Mailbox {
     pending: Vec<Message>,
     /// The cluster's node scheduler; `None` for standalone mailboxes.
     sched: Option<Arc<Scheduler>>,
-    /// Test double: reintroduces the PR 2 `swap_remove` FIFO defect so the
-    /// auditor's non-overtaking check can be proven against it.
-    #[cfg(feature = "audit")]
+    /// Test double: reintroduces the historical `swap_remove` FIFO defect
+    /// so the non-overtaking check can be proven against it.
+    #[cfg(feature = "trace")]
     fifo_bug: bool,
 }
 
@@ -53,7 +52,7 @@ impl Mailbox {
                 rx,
                 pending: Vec::new(),
                 sched: None,
-                #[cfg(feature = "audit")]
+                #[cfg(feature = "trace")]
                 fifo_bug: false,
             },
             tx,
@@ -66,16 +65,16 @@ impl Mailbox {
         self.sched = Some(sched);
     }
 
-    #[cfg(feature = "audit")]
+    #[cfg(feature = "trace")]
     pub(crate) fn seed_fifo_bug(&mut self) {
         self.fifo_bug = true;
     }
 
     /// Remove and return `pending[pos]`, preserving arrival order.
     fn take_pending(&mut self, pos: usize) -> Message {
-        #[cfg(feature = "audit")]
+        #[cfg(feature = "trace")]
         if self.fifo_bug {
-            // Test double: the PR 2 defect. `swap_remove` moves the last
+            // Test double: the historical defect. `swap_remove` moves the last
             // buffered message into this slot, so a later receive for the
             // same `(src, tag)` matches out of arrival order.
             return self.pending.swap_remove(pos);
@@ -164,32 +163,44 @@ impl Mailbox {
         self.pending.iter().find(|m| m.src == src && m.tag == tag)
     }
 
-    /// Drain the channel and hand over everything still unconsumed. Called
-    /// by the cluster after all node threads have joined (so every send has
-    /// landed); any message here was never matched by a receive. The leak
-    /// check that consumes this only exists in debug and audit builds.
-    #[cfg(any(debug_assertions, feature = "audit", test))]
+    /// Drain the channel and hand over everything still unconsumed.
+    #[cfg(any(debug_assertions, feature = "trace", test))]
     pub(crate) fn drain_residue(&mut self) -> Vec<Message> {
         self.drain_channel();
         std::mem::take(&mut self.pending)
+    }
+
+    /// The teardown drain check (debug and `trace` builds): one
+    /// `[message-drain]` report per message never matched by a receive.
+    /// The cluster calls this after all node threads have joined, so every
+    /// send has landed.
+    #[cfg(any(debug_assertions, feature = "trace"))]
+    pub(crate) fn drain_violations(&mut self) -> Vec<String> {
+        let rank = self.rank;
+        self.drain_residue()
+            .iter()
+            .map(|m| {
+                format!(
+                    "[message-drain] rank {rank}: unconsumed message {}",
+                    provenance(m)
+                )
+            })
+            .collect()
     }
 
     /// Recovery-attempt boundary check: when the engine closes tag window
     /// `window`, no message stamped with it may remain undelivered to the
     /// program — such a message could only ever be matched (wrongly) by a
     /// later attempt, or leak. Panics with provenance if one is found.
-    #[cfg(feature = "audit")]
+    #[cfg(feature = "trace")]
     pub(crate) fn scan_window_residue(&mut self, window: u32) {
         self.drain_channel();
         if let Some(m) = self.pending.iter().find(|m| m.stamp.window == Some(window)) {
             panic!(
                 "[message-drain] rank {}: recovery window {window} closed with an \
-                 unconsumed message from rank {} (tag {}, {} elems, send #{})",
+                 unconsumed message {}",
                 self.rank,
-                m.src,
-                m.tag.describe(),
-                m.payload.elems(),
-                m.stamp.seq,
+                provenance(m),
             );
         }
     }
@@ -198,6 +209,26 @@ impl Mailbox {
     pub fn pending_len(&self) -> usize {
         self.pending.len()
     }
+}
+
+/// "from rank 2 (tag user(4), 1 elems)" — where an unconsumed message came
+/// from, plus its send number and window under `trace`.
+#[cfg(any(debug_assertions, feature = "trace"))]
+fn provenance(m: &Message) -> String {
+    #[cfg(feature = "trace")]
+    let stamp = format!(
+        ", send #{}, sent in {}",
+        m.stamp.seq,
+        crate::trace::window_name(m.stamp.window)
+    );
+    #[cfg(not(feature = "trace"))]
+    let stamp = "";
+    format!(
+        "from rank {} (tag {}, {} elems{stamp})",
+        m.src,
+        m.tag.describe(),
+        m.payload.elems()
+    )
 }
 
 #[cfg(test)]
@@ -331,7 +362,37 @@ mod tests {
         mb.recv(1, Tag::user(7), 0.0);
     }
 
-    #[cfg(feature = "audit")]
+    #[cfg(any(debug_assertions, feature = "trace"))]
+    #[test]
+    fn drain_violations_name_provenance() {
+        let (mut mb, tx) = Mailbox::new(5);
+        #[allow(unused_mut)]
+        let mut m = msg(2, Tag::user(4), 1.0);
+        #[cfg(feature = "trace")]
+        {
+            m.stamp = crate::trace::MsgStamp {
+                seq: 7,
+                window: Some(3),
+            };
+        }
+        tx.send(m).unwrap();
+        let v = mb.drain_violations();
+        assert_eq!(v.len(), 1);
+        assert!(
+            v[0].starts_with("[message-drain] rank 5: unconsumed message from rank 2 (tag user(4)"),
+            "{}",
+            v[0]
+        );
+        #[cfg(feature = "trace")]
+        assert!(
+            v[0].contains("send #7, sent in recovery window 3"),
+            "{}",
+            v[0]
+        );
+        assert!(mb.drain_violations().is_empty());
+    }
+
+    #[cfg(feature = "trace")]
     #[test]
     fn fifo_bug_double_reorders_same_key_matches() {
         let (mut mb, tx) = Mailbox::new(0);

@@ -169,15 +169,15 @@ pub struct Message {
     pub payload: Payload,
     /// Virtual arrival time at the destination under the λ/µ cost model.
     pub arrival_vtime: f64,
-    /// Protocol-auditor provenance (send sequence number and recovery
-    /// window); filled in by `NodeCtx::raw_send`.
-    #[cfg(feature = "audit")]
-    pub stamp: crate::audit::MsgStamp,
+    /// Provenance (send number and recovery window) under `trace`; filled
+    /// in by `NodeCtx::raw_send`.
+    #[cfg(feature = "trace")]
+    pub stamp: crate::trace::MsgStamp,
 }
 
 impl Message {
-    /// Construct a message (with a default audit stamp, when that feature is
-    /// compiled in — the one constructor keeps call sites feature-agnostic).
+    /// Construct a message (with a default stamp under `trace` — the one
+    /// constructor keeps call sites feature-agnostic).
     #[must_use]
     pub fn new(src: usize, tag: crate::tag::Tag, payload: Payload, arrival_vtime: f64) -> Self {
         Message {
@@ -185,8 +185,8 @@ impl Message {
             tag,
             payload,
             arrival_vtime,
-            #[cfg(feature = "audit")]
-            stamp: crate::audit::MsgStamp::default(),
+            #[cfg(feature = "trace")]
+            stamp: crate::trace::MsgStamp::default(),
         }
     }
 }

@@ -191,25 +191,40 @@ pub(crate) fn complete(calls: Vec<RdCall>, members: &[usize]) -> Result<Vec<RdPl
 fn check_agreement(calls: &[RdCall], members: &[usize]) -> Result<(), String> {
     let c0 = &calls[0];
     let (scope, seq) = c0.tag.scope_seq();
-    let issued = |c: &RdCall| describe_coll(c.tag.op(), c.opr, Some(c.buf.len()), c.n);
+    let at = format!(
+        "[collective-mismatch] {} collective seq {seq}",
+        scope_name(scope)
+    );
+    // "allreduce(Sum) len 3 on 8 members".
+    let issued = |c: &RdCall| {
+        let rop = c.opr.map_or(String::new(), |rop| format!("({rop:?})"));
+        format!(
+            "{}{rop} len {} on {} members",
+            op::name(c.tag.op()),
+            c.buf.len(),
+            c.n
+        )
+    };
     if let Some(c) = calls[1..]
         .iter()
         .find(|c| c.tag.op() != c0.tag.op() || c.opr != c0.opr || c.n != c0.n)
     {
-        return Err(issued_mismatch(
-            scope,
-            seq,
-            (members[c0.index], &issued(c0)),
-            (members[c.index], &issued(c)),
+        return Err(format!(
+            "{at}: rank {} issued {} but rank {} issued {}",
+            members[c0.index],
+            issued(c0),
+            members[c.index],
+            issued(c)
         ));
     }
     if let Some(c) = calls[1..].iter().find(|c| c.buf.len() != c0.buf.len()) {
-        return Err(len_mismatch(
-            scope,
-            seq,
-            &issued(c0),
-            (members[c0.index], c0.buf.len()),
-            (members[c.index], c.buf.len()),
+        return Err(format!(
+            "{at} ({}): rank {} contributed len {} but rank {} contributed len {}",
+            issued(c0),
+            members[c0.index],
+            c0.buf.len(),
+            members[c.index],
+            c.buf.len()
         ));
     }
     Ok(())
@@ -221,10 +236,8 @@ fn prev_power_of_two(n: usize) -> usize {
     1 << n.ilog2()
 }
 
-// ---- Collective-agreement wording (shared with the auditor) ---------------
-
 /// "world" or "group 0x…".
-pub(crate) fn scope_name(scope: Option<u32>) -> String {
+fn scope_name(scope: Option<u32>) -> String {
     match scope {
         Some(gid) => format!("group {gid:#x}"),
         None => "world".to_string(),
@@ -235,53 +248,6 @@ pub(crate) fn scope_name(scope: Option<u32>) -> String {
 pub(crate) fn describe_instance(tag: Tag) -> String {
     let (scope, seq) = tag.scope_seq();
     format!("{} seq {seq} on {}", op::name(tag.op()), scope_name(scope))
-}
-
-/// "allreduce(Sum) len 3 on 8 members".
-pub(crate) fn describe_coll(
-    kind: u8,
-    rop: Option<ReduceOp>,
-    len: Option<usize>,
-    n_members: usize,
-) -> String {
-    let mut s = String::from(op::name(kind));
-    if let Some(rop) = rop {
-        s.push_str(&format!("({rop:?})"));
-    }
-    if let Some(len) = len {
-        s.push_str(&format!(" len {len}"));
-    }
-    s.push_str(&format!(" on {n_members} members"));
-    s
-}
-
-/// Two members issued different collectives at one instance.
-pub(crate) fn issued_mismatch(
-    scope: Option<u32>,
-    seq: u64,
-    (rank0, what0): (usize, &str),
-    (rank1, what1): (usize, &str),
-) -> String {
-    format!(
-        "[collective-mismatch] {} collective seq {seq}: rank {rank0} issued {what0} \
-         but rank {rank1} issued {what1}",
-        scope_name(scope)
-    )
-}
-
-/// Two members contributed buffers of different lengths.
-pub(crate) fn len_mismatch(
-    scope: Option<u32>,
-    seq: u64,
-    what: &str,
-    (r0, l0): (usize, usize),
-    (r1, l1): (usize, usize),
-) -> String {
-    format!(
-        "[collective-mismatch] {} collective seq {seq} ({what}): rank {r0} \
-         contributed len {l0} but rank {r1} contributed len {l1}",
-        scope_name(scope)
-    )
 }
 
 #[cfg(test)]

@@ -154,6 +154,7 @@ impl RecvRequest {
                 t,
                 0.0,
                 true,
+                Some(&m),
             );
         }
         charge_wait(

@@ -1,11 +1,10 @@
-//! Virtual-time tracing: per-node span/event logs, Chrome-trace export, and
-//! critical-path analysis.
+//! Virtual-time tracing: per-node event logs, Chrome-trace export,
+//! critical-path analysis and the protocol checks.
 //!
 //! Compiled only under `--features trace`. The tracer is **strictly
 //! observational**: it reads the virtual clock but never advances it, so
 //! every traced run produces bitwise-identical trajectories and virtual
-//! times to the untraced build (the same discipline as the `audit`
-//! feature, pinned by the `report` bench).
+//! times to the untraced build (pinned by the `report` bench).
 //!
 //! Each node records a flat list of [`TraceEvent`]s stamped with the
 //! virtual clock: `Open`/`Close` span markers (solver iterations, recovery
@@ -14,8 +13,10 @@
 //! carrying `(peer, tag, elems)` and a per-`(peer, tag)` sequence number
 //! that pairs each receive with the exact send that produced its message,
 //! and `Wait` events carrying the exposed-vs-hidden split charged by the
-//! overlap-aware clock. [`crate::cluster::Cluster::run_traced`] gathers the
-//! per-rank logs into a [`ClusterTrace`] with three consumers:
+//! overlap-aware clock. The send number is the one stamp a message
+//! carries ([`MsgStamp`], with the sender's recovery window), so a `Recv`
+//! records what was actually delivered. [`crate::cluster::Cluster::run_traced`]
+//! gathers the per-rank logs into a [`ClusterTrace`] with four consumers:
 //!
 //! 1. [`ClusterTrace::chrome_trace_json`] — a Chrome-trace/Perfetto JSON
 //!    export (one process per rank, one thread lane per phase);
@@ -23,12 +24,26 @@
 //!    over program order and send→recv dependencies, attributing the
 //!    longest dependent chain by rank, phase, and enclosing scope;
 //! 3. [`ClusterTrace::validate`] — structural well-formedness (balanced
-//!    nesting, monotone timestamps, every receive matched to a send).
+//!    nesting, monotone timestamps, every receive matched to a send);
+//! 4. [`ClusterTrace::protocol_violations`] — the message-ordering and
+//!    recovery-window invariants, checked at every cluster teardown.
 
 use std::collections::HashMap;
 
 use crate::stats::CommPhase;
 use crate::tag::Tag;
+
+/// Provenance every message carries under `trace`: its send number and
+/// the recovery window it was sent in.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MsgStamp {
+    /// Per-`(sender, dest, tag)` send sequence number, starting at 0 — the
+    /// `seq` of the message's `Send` event.
+    pub seq: u64,
+    /// The sender's recovery-attempt window at send time (`None` outside
+    /// recovery).
+    pub window: Option<u32>,
+}
 
 /// One recorded event on a node's virtual-time line.
 #[derive(Clone, Debug, PartialEq)]
@@ -85,8 +100,14 @@ pub enum TraceEventKind {
         tag: Tag,
         /// Payload size in vector elements.
         elems: usize,
-        /// Per-`(src, tag)` receive sequence number.
+        /// Send number of the consumed message (its [`MsgStamp::seq`]). A
+        /// rendezvous round carries no message; it counts per `(src, tag)`.
         seq: u64,
+        /// Recovery window the message was sent in (a rendezvous round
+        /// records `window`).
+        sent_in: Option<u32>,
+        /// The receiver's recovery window when the receive matched.
+        window: Option<u32>,
         /// Blocking stall (`max(arrival − clock, 0)`); 0 when `engine`.
         stall: f64,
         /// True when consumed by the non-blocking engine — any exposed
@@ -128,6 +149,8 @@ pub struct TraceState {
     events: Vec<TraceEvent>,
     send_seq: HashMap<(usize, Tag), u64>,
     recv_seq: HashMap<(usize, Tag), u64>,
+    /// Current recovery-attempt window (see `NodeCtx::audit_enter_window`).
+    pub(crate) window: Option<u32>,
     /// Virtual time already elapsed on clock epochs that were since reset
     /// (`NodeCtx::reset_metrics` rewinds the node clock to zero after
     /// setup). Folding the pre-reset value into a base offset keeps trace
@@ -143,6 +166,7 @@ impl TraceState {
             events: Vec::new(),
             send_seq: HashMap::new(),
             recv_seq: HashMap::new(),
+            window: None,
             base: 0.0,
         }
     }
@@ -160,10 +184,7 @@ impl TraceState {
         self.base += now;
     }
 
-    /// Sequence number of the next message sent to `(dst, tag)`. The
-    /// mailbox is FIFO per `(src, tag)`, so the k-th message consumed by
-    /// the receiver is the k-th sent — the counters pair sends and
-    /// receives without touching the wire format.
+    /// Sequence number of the next message sent to `(dst, tag)`.
     pub(crate) fn next_send_seq(&mut self, dst: usize, tag: Tag) -> u64 {
         let c = self.send_seq.entry((dst, tag)).or_insert(0);
         let s = *c;
@@ -171,7 +192,19 @@ impl TraceState {
         s
     }
 
-    /// Sequence number of the next message consumed from `(src, tag)`.
+    /// The stamp of the message whose `Send` event to `(dst, tag)` was
+    /// recorded last: a real send records its event, then posts the
+    /// message.
+    pub(crate) fn last_send_stamp(&self, dst: usize, tag: Tag) -> MsgStamp {
+        MsgStamp {
+            seq: self.send_seq[&(dst, tag)] - 1,
+            window: self.window,
+        }
+    }
+
+    /// Sequence number of the next rendezvous round received from
+    /// `(src, tag)`. Each round's send counts on the sender's side, so the
+    /// k-th round received pairs with the k-th sent.
     pub(crate) fn next_recv_seq(&mut self, src: usize, tag: Tag) -> u64 {
         let c = self.recv_seq.entry((src, tag)).or_insert(0);
         let s = *c;
@@ -349,6 +382,59 @@ impl ClusterTrace {
             }
         }
         Ok(())
+    }
+
+    /// The protocol invariants that only the recorded receives can show,
+    /// each reported with the rank, peer and tag it concerns:
+    ///
+    /// 1. **`[non-overtaking]`** — a rank's receives from one `(src, tag)`
+    ///    match strictly increasing send numbers (MPI's ordered delivery);
+    /// 2. **`[tag-window]`** — a receive matches only a message sent in the
+    ///    receiver's current recovery-attempt window, so no traffic crosses
+    ///    from one restart attempt into another.
+    ///
+    /// [`crate::cluster::Cluster::run`] checks these at every teardown,
+    /// together with message drain.
+    pub fn protocol_violations(&self) -> Vec<String> {
+        let mut violations = Vec::new();
+        for nt in &self.nodes {
+            let mut last: HashMap<(usize, Tag), u64> = HashMap::new();
+            for ev in &nt.events {
+                let TraceEventKind::Recv {
+                    src,
+                    tag,
+                    seq,
+                    sent_in,
+                    window,
+                    ..
+                } = ev.kind
+                else {
+                    continue;
+                };
+                if let Some(prev) = last.insert((src, tag), seq) {
+                    if seq <= prev {
+                        violations.push(format!(
+                            "[non-overtaking] rank {}: (src {src}, tag {}) delivered send #{seq} \
+                             after send #{prev} — same-(src, tag) messages must match in send order",
+                            nt.rank,
+                            tag.describe(),
+                        ));
+                    }
+                }
+                if sent_in != window {
+                    violations.push(format!(
+                        "[tag-window] rank {}: message from rank {src} (tag {}) sent in {} \
+                         was matched by a receive in {} — recovery-attempt tag windows \
+                         must be disjoint",
+                        nt.rank,
+                        tag.describe(),
+                        window_name(sent_in),
+                        window_name(window),
+                    ));
+                }
+            }
+        }
+        violations
     }
 
     /// The longest dependent chain of communication costs.
@@ -693,7 +779,10 @@ impl ClusterTrace {
                         seq,
                         stall,
                         engine,
+                        ..
                     } => {
+                        // The recovery windows stay out of the export: its
+                        // bytes are pinned by digest.
                         let tid = if engine { 7 } else { 1 } + phase.index();
                         push(
                             format!(
@@ -747,6 +836,14 @@ impl ClusterTrace {
         }
         out.push_str("]}");
         out
+    }
+}
+
+/// "recovery window 3" or "no window".
+pub(crate) fn window_name(w: Option<u32>) -> String {
+    match w {
+        Some(k) => format!("recovery window {k}"),
+        None => "no window".to_string(),
     }
 }
 
@@ -1058,6 +1155,8 @@ mod tests {
             tag: Tag::user(1),
             elems: 4,
             seq,
+            sent_in: None,
+            window: None,
             stall,
             engine: false,
         }
@@ -1308,5 +1407,50 @@ mod tests {
         assert_eq!(st.next_send_seq(1, Tag::user(2)), 0);
         assert_eq!(st.next_recv_seq(1, Tag::user(1)), 0);
         assert_eq!(st.next_recv_seq(1, Tag::user(1)), 1);
+        st.window = Some(4);
+        assert_eq!(
+            st.last_send_stamp(1, Tag::user(1)),
+            MsgStamp {
+                seq: 1,
+                window: Some(4)
+            }
+        );
+    }
+
+    fn one_rank(rank: usize, events: Vec<TraceEventKind>) -> ClusterTrace {
+        ClusterTrace {
+            nodes: vec![NodeTrace {
+                rank,
+                events: events.into_iter().map(|k| ev(0.0, k)).collect(),
+            }],
+        }
+    }
+
+    #[test]
+    fn out_of_order_delivery_is_flagged() {
+        let tr = one_rank(0, vec![recv(2, 1, 0.0), recv(2, 0, 0.0)]);
+        let v = tr.protocol_violations();
+        assert_eq!(v.len(), 1);
+        assert!(v[0].contains("[non-overtaking]"), "{}", v[0]);
+        assert!(v[0].contains("rank 0"), "{}", v[0]);
+        assert!(v[0].contains("user(1)"), "{}", v[0]);
+        assert!(v[0].contains("send #0 after send #1"), "{}", v[0]);
+    }
+
+    #[test]
+    fn window_mismatch_is_flagged() {
+        let mut r = recv(1, 0, 0.0);
+        if let TraceEventKind::Recv {
+            sent_in, window, ..
+        } = &mut r
+        {
+            (*sent_in, *window) = (Some(0), Some(1));
+        }
+        let v = one_rank(3, vec![r]).protocol_violations();
+        assert_eq!(v.len(), 1);
+        assert!(v[0].contains("[tag-window]"), "{}", v[0]);
+        assert!(v[0].contains("rank 3"), "{}", v[0]);
+        assert!(v[0].contains("sent in recovery window 0"), "{}", v[0]);
+        assert!(v[0].contains("receive in recovery window 1"), "{}", v[0]);
     }
 }

@@ -1,28 +1,34 @@
-//! Seeded-violation self-tests for the protocol auditor.
+//! Seeded-violation self-tests for the protocol checks.
 //!
 //! Each test plants one historical (or representative) protocol bug behind a
-//! test double and asserts that the auditor detects it **and names it** —
+//! test double and asserts that the runtime detects it **and names it** —
 //! rank, tag, and violated invariant. A checker that cannot re-find the
 //! bugs it was built for is worse than no checker, so this suite is the
-//! auditor's own acceptance test.
-
-#![cfg(feature = "audit")]
+//! checks' own acceptance test.
+//!
+//! Collective agreement is checked in every build (the rendezvous, the
+//! deadlock report, the debug teardown drain check). Non-overtaking, tag
+//! windows and drain provenance read the `trace` event log, so those tests
+//! run under `--features trace`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use parcomm::{Cluster, ClusterConfig, CommPhase, Payload, ReduceOp};
+#[cfg(feature = "trace")]
+use parcomm::Payload;
+use parcomm::{Cluster, ClusterConfig, CommPhase, ReduceOp};
 
-/// Run a cluster program that must panic; return the panic message.
-fn expect_panic<T, F>(f: F) -> String
+/// Run a program that must panic on an `n`-node cluster; return the panic
+/// message.
+fn expect_panic<T, F>(n: usize, f: F) -> String
 where
     T: Send,
     F: Fn(&mut parcomm::NodeCtx) -> T + Sync,
     F: std::panic::RefUnwindSafe,
 {
     let err = catch_unwind(AssertUnwindSafe(|| {
-        let _ = Cluster::run(ClusterConfig::new(2), f);
+        let _ = Cluster::run(ClusterConfig::new(n), f);
     }))
-    .expect_err("the auditor must have flagged this run");
+    .expect_err("the protocol checks must have flagged this run");
     err.downcast_ref::<String>()
         .map(String::as_str)
         .or_else(|| err.downcast_ref::<&str>().copied())
@@ -32,9 +38,10 @@ where
 
 // ---- (1) message drain ----------------------------------------------------
 
+#[cfg(feature = "trace")]
 #[test]
 fn orphaned_message_is_named_with_provenance() {
-    let msg = expect_panic(|ctx| {
+    let msg = expect_panic(2, |ctx| {
         if ctx.rank() == 0 {
             // Send that no receive will ever match.
             ctx.send(1, 3, Payload::F64(1.0), CommPhase::Other);
@@ -49,12 +56,14 @@ fn orphaned_message_is_named_with_provenance() {
 
 // ---- (2) non-overtaking ---------------------------------------------------
 
+#[cfg(feature = "trace")]
 #[test]
 fn resurrected_swap_remove_fifo_bug_is_caught() {
-    // PR 2 shipped a `Vec::swap_remove` in the pending-queue match that
-    // reordered same-(src, tag) messages once two were queued. The bug is
-    // re-seeded behind a test double; the auditor must name the reorder.
-    let msg = expect_panic(|ctx| {
+    // An early mailbox used `Vec::swap_remove` in the pending-queue match,
+    // which reordered same-(src, tag) messages once two were queued. The
+    // bug is re-seeded behind a test double; the check must name the
+    // reorder.
+    let msg = expect_panic(2, |ctx| {
         if ctx.rank() == 0 {
             for v in [1.0, 2.0, 3.0] {
                 ctx.send(1, 7, Payload::F64(v), CommPhase::Other);
@@ -76,14 +85,14 @@ fn resurrected_swap_remove_fifo_bug_is_caught() {
     assert!(msg.contains("send order"), "{msg}");
 }
 
-// ---- (3) collective agreement --------------------------------------------
+// ---- (3) collective agreement (every build) --------------------------------
 
 #[test]
 fn mismatched_reduce_operators_are_caught() {
     // Both ranks complete (n = 2 exchanges one message each way), the
     // results silently disagree — exactly the class of corruption that
     // today manifests as a wrong residual thousands of iterations later.
-    let msg = expect_panic(|ctx| {
+    let msg = expect_panic(2, |ctx| {
         if ctx.rank() == 0 {
             ctx.allreduce_sum(1.0)
         } else {
@@ -98,7 +107,7 @@ fn mismatched_reduce_operators_are_caught() {
 
 #[test]
 fn length_mismatched_collective_is_caught() {
-    let msg = expect_panic(|ctx| {
+    let msg = expect_panic(2, |ctx| {
         let n = 1 + ctx.rank(); // rank 0 contributes len 1, rank 1 len 2
         ctx.allreduce_vec(ReduceOp::Sum, vec![1.0; n])
     });
@@ -107,14 +116,51 @@ fn length_mismatched_collective_is_caught() {
     assert!(msg.contains("len 2"), "{msg}");
 }
 
+#[cfg(any(debug_assertions, feature = "trace"))]
+#[test]
+fn world_bcast_against_gather_is_caught_as_residue() {
+    // Rank 0 roots a broadcast while ranks 1 and 2 send their gather
+    // contributions to it: every call completes, and the teardown drain
+    // check names the messages nobody received.
+    let msg = expect_panic(3, |ctx| {
+        if ctx.rank() == 0 {
+            let _ = ctx.bcast(0, parcomm::Payload::F64(1.0));
+        } else {
+            let _ = ctx.gatherv_f64(0, vec![1.0]);
+        }
+    });
+    assert!(msg.contains("[message-drain]"), "{msg}");
+    assert!(msg.contains("rank 0"), "{msg}");
+    assert!(msg.contains("coll(gather, seq 0)"), "{msg}");
+}
+
+#[test]
+fn group_member_set_mismatch_is_caught_as_deadlock() {
+    // Rank 0 gathers over {0, 1} while ranks 1 and 2 use {0, 1, 2}: the
+    // two sets derive different group ids, so rank 0's receive can never
+    // match.
+    let msg = expect_panic(3, |ctx| {
+        let members: &[usize] = if ctx.rank() == 0 { &[0, 1] } else { &[0, 1, 2] };
+        let mut g = ctx.group(members);
+        let _ = g.gatherv_f64(ctx, 0, vec![1.0], CommPhase::Recovery);
+    });
+    assert!(msg.contains("[deadlock]"), "{msg}");
+    assert!(
+        msg.contains("rank 0 blocked in recv(src 1, tag group(gid "),
+        "{msg}"
+    );
+    assert!(msg.contains("gather, seq 0))"), "{msg}");
+}
+
 // ---- (4) tag-window disjointness ------------------------------------------
 
+#[cfg(feature = "trace")]
 #[test]
 fn cross_attempt_tag_reuse_is_caught() {
     // Rank 0 sends inside recovery attempt 0; rank 1 matches it from
     // attempt 1 — the cross-attempt match the engine's restart protocol
     // must never allow.
-    let msg = expect_panic(|ctx| {
+    let msg = expect_panic(2, |ctx| {
         if ctx.rank() == 0 {
             ctx.audit_enter_window(0);
             ctx.send(1, 5, Payload::F64(1.0), CommPhase::Recovery);
@@ -132,12 +178,13 @@ fn cross_attempt_tag_reuse_is_caught() {
     assert!(msg.contains("recovery window 1"), "{msg}");
 }
 
+#[cfg(feature = "trace")]
 #[test]
 fn window_close_with_unconsumed_recovery_message_panics() {
     // A recovery-window message still queued when its window closes is
     // flagged *at the boundary* (not only at teardown): the next attempt
     // must start with a clean slate.
-    let msg = expect_panic(|ctx| {
+    let msg = expect_panic(2, |ctx| {
         if ctx.rank() == 0 {
             ctx.audit_enter_window(2);
             ctx.send(1, 4, Payload::F64(1.0), CommPhase::Recovery);
@@ -158,10 +205,11 @@ fn window_close_with_unconsumed_recovery_message_panics() {
 
 // The engine's checkpoint traffic uses tags from the recovery range
 // ((1 << 16) + seq * 32 + offset) with offset 0 for periodic deposits and
-// offset 1 for rollback fetches; both flow inside audit windows numbered by
+// offset 1 for rollback fetches; both flow inside tag windows numbered by
 // the shared recovery sequence. These two tests seed the checkpoint-specific
 // leak shapes and prove the window invariants cover them.
 
+#[cfg(feature = "trace")]
 #[test]
 fn leaked_checkpoint_deposit_is_flagged_at_window_close() {
     // A deposit replica pushed to a partner that never receives it — the
@@ -169,7 +217,7 @@ fn leaked_checkpoint_deposit_is_flagged_at_window_close() {
     // deposit travels in the Redundancy phase, but window residue is
     // phase-blind: the window stamp alone must flag it at the boundary.
     const DEPOSIT_TAG: u32 = (1 << 16) + 6 * 32; // tag(seq 6, OFF_CKPT)
-    let msg = expect_panic(|ctx| {
+    let msg = expect_panic(2, |ctx| {
         if ctx.rank() == 0 {
             ctx.audit_enter_window(6);
             ctx.send(1, DEPOSIT_TAG, Payload::F64(1.0), CommPhase::Redundancy);
@@ -189,6 +237,7 @@ fn leaked_checkpoint_deposit_is_flagged_at_window_close() {
     assert!(msg.contains(&format!("user({DEPOSIT_TAG})")), "{msg}");
 }
 
+#[cfg(feature = "trace")]
 #[test]
 fn checkpoint_fetch_across_windows_is_flagged() {
     // A rollback fetch deposited in one recovery attempt must never satisfy
@@ -196,7 +245,7 @@ fn checkpoint_fetch_across_windows_is_flagged() {
     // sequence (one rank skipping a deposit round) would produce exactly
     // this cross-window match.
     const FETCH_TAG: u32 = (1 << 16) + 3 * 32 + 1; // tag(seq 3, OFF_FETCH)
-    let msg = expect_panic(|ctx| {
+    let msg = expect_panic(2, |ctx| {
         if ctx.rank() == 0 {
             ctx.audit_enter_window(3);
             ctx.send(1, FETCH_TAG, Payload::F64(1.0), CommPhase::Recovery);
@@ -214,29 +263,13 @@ fn checkpoint_fetch_across_windows_is_flagged() {
     assert!(msg.contains("recovery window 4"), "{msg}");
 }
 
-// ---- (5) deadlock detection -----------------------------------------------
-
-#[test]
-fn wait_for_cycle_is_reported_not_hung() {
-    // Classic two-rank cycle: each blocks receiving from the other with no
-    // message in flight. Without the auditor this hangs until the 300 s
-    // backstop; with it, the cycle is reported with per-rank blocked-on
-    // state within a poll interval.
-    let msg = expect_panic(|ctx| {
-        let peer = 1 - ctx.rank();
-        let _ = ctx.recv(peer, 1);
-    });
-    assert!(msg.contains("[deadlock]"), "{msg}");
-    assert!(msg.contains("blocked in recv"), "{msg}");
-    assert!(msg.contains("user(1)"), "{msg}");
-}
-
 // ---- clean runs stay clean ------------------------------------------------
 
+#[cfg(feature = "trace")]
 #[test]
 fn full_protocol_workout_is_audit_clean() {
     // Point-to-point, world + group collectives, non-blocking all-reduce,
-    // and a recovery window, all properly drained: the auditor must stay
+    // and a recovery window, all properly drained: the checks must stay
     // silent (a checker that cries wolf gets turned off).
     let out = Cluster::run(ClusterConfig::new(4), |ctx| {
         let next = (ctx.rank() + 1) % ctx.size();
